@@ -12,7 +12,7 @@ Three concrete representations:
 * :class:`MixturePermuton` -- convex combination of permutons.
 
 Coordinates and masses are Fractions internally so that cdf, moments and
-strip masses are exact; sampling works in floats.
+strip masses are exact; sampling and ``cdf_float`` work in floats.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import counting
-from .perms import Perm, PermError, Z99
+from .perms import Perm, binomial_ci99
 
-Rat = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_CDF_BLOCK = 1 << 18  # entries of the grid CDF table held at once
 
 
 class PermutonError(ValueError):
@@ -70,6 +70,10 @@ class Permuton:
 
     def sample_xy(self, rng: np.random.Generator, count: int):
         """(x, y) float arrays of iid draws."""
+        raise NotImplementedError
+
+    def cdf_float(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """F(x_i, y_i) as floats for equal-shape float arrays of query points."""
         raise NotImplementedError
 
 
@@ -166,6 +170,53 @@ class GridPermuton(Permuton):
                 yw[j] = side(j, q)
             total += m * xw[i] * yw[j]
         return total
+
+    # ---- float CDF ----------------------------------------------------
+
+    def cdf_float(self, xs, ys) -> np.ndarray:
+        """Bilinear interpolation of P[a, b] = F(a/n, b/n), exact up to
+        rounding because mass is uniform inside each cell.
+
+        Points are sorted by grid column and P is built in blocks of at
+        most ``_CDF_BLOCK`` entries, each block's rows following from the
+        previous block's last row, so a call costs O(n^2 + points log
+        points) time and O(_CDF_BLOCK + n + points) memory.
+        """
+        n = self.n
+        shape = np.shape(xs)
+        u = np.clip(np.ravel(xs).astype(float), 0.0, 1.0) * n
+        v = np.clip(np.ravel(ys).astype(float), 0.0, 1.0) * n
+        col = np.clip(u.astype(np.int64), 0, n - 1)  # NaN casts below 0
+        row = np.clip(v.astype(np.int64), 0, n - 1)
+        u -= col  # offsets inside the cell
+        v -= row
+        order = np.argsort(col, kind="stable")
+        keys = sorted(self.cells)
+        ci, cj = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        cm = np.array([float(self.cells[c]) for c in keys])
+        out = np.empty(len(u))
+        step = max(1, _CDF_BLOCK // (n + 1) - 1)
+        carry = np.zeros(n + 1)
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            # P rows lo..hi: row lo carried in, then each column's y-prefix masses
+            table = np.zeros((hi - lo + 1, n + 1))
+            table[0] = carry
+            c0, c1 = np.searchsorted(ci, (lo + 1, hi + 1))
+            table[ci[c0:c1] - lo, cj[c0:c1]] = cm[c0:c1]
+            np.cumsum(table[1:], axis=1, out=table[1:])
+            np.cumsum(table, axis=0, out=table)
+            carry = table[-1].copy()
+            p0, p1 = np.searchsorted(col, (lo, hi), sorter=order)
+            idx = order[p0:p1]
+            flat = table.ravel()
+            k = (col[idx] - lo) * (n + 1) + row[idx]
+            t = v[idx]
+            below = flat[k] + t * (flat[k + 1] - flat[k])
+            k += n + 1
+            above = flat[k] + t * (flat[k + 1] - flat[k])
+            out[idx] = below + u[idx] * (above - below)
+        return out.reshape(shape)
 
     # ---- sampling -----------------------------------------------------
 
@@ -305,6 +356,26 @@ class SegmentPermuton(Permuton):
         dy = np.array([float(s.y1 - s.y0) for s in self.segments])
         return x0[pick] + t * dx[pick], y0[pick] + t * dy[pick]
 
+    def cdf_float(self, xs, ys) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        out = np.zeros_like(xs)
+        for s in self.segments:
+            lo = np.zeros_like(xs)
+            hi = np.ones_like(xs)
+            for start, delta, bound in (
+                (float(s.x0), float(s.x1 - s.x0), xs),
+                (float(s.y0), float(s.y1 - s.y0), ys),
+            ):
+                if delta > 0:
+                    hi = np.minimum(hi, (bound - start) / delta)
+                elif delta < 0:
+                    lo = np.maximum(lo, (bound - start) / delta)
+                else:
+                    hi = np.where(start > bound, -1.0, hi)
+            out += float(s.mass) * np.clip(hi - lo, 0.0, 1.0)
+        return out
+
 
 def _t_fraction_inside(s: Segment, a: Fraction, b: Fraction) -> Fraction:
     """Length of {t in [0,1] : x(t) <= a and y(t) <= b}."""
@@ -432,6 +503,10 @@ class MixturePermuton(Permuton):
                 x[mask], y[mask] = comp.sample_xy(rng, m)
         return x, y
 
+    def cdf_float(self, xs, ys) -> np.ndarray:
+        return sum(float(w) * c.cdf_float(xs, ys)
+                   for c, w in zip(self.components, self.weights))
+
 
 # ---------------------------------------------------------------------------
 # sampling-derived operations
@@ -500,9 +575,7 @@ def density_mc(pi, mu: Permuton, samples: int, seed: int) -> tuple[float, float]
         pats = sample_patterns(mu, k, m, rng)
         hits += int(np.all(pats == target, axis=1).sum())
         remaining -= m
-    est = hits / samples
-    half = Z99 * math.sqrt(max(est * (1 - est), 0.0) / samples)
-    return est, half
+    return hits / samples, binomial_ci99(hits, samples)
 
 
 def pattern_histogram_mc(mu: Permuton, k: int, samples: int,
@@ -555,9 +628,7 @@ def event_prob_mc(mu: Permuton, rho, sigma, samples: int, seed: int) -> tuple[fl
         yr = np.argsort(np.argsort(y, axis=1), axis=1) + 1
         hits += int((np.all(xr == rtar, axis=1) & np.all(yr == star, axis=1)).sum())
         remaining -= m
-    est = hits / samples
-    half = Z99 * math.sqrt(max(est * (1 - est), 0.0) / samples)
-    return est, half
+    return hits / samples, binomial_ci99(hits, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -726,58 +797,13 @@ def marginal_check(mu: Permuton, resolution: int, tol: float) -> MarginalReport:
 
 
 def cdf_grid(mu: Permuton, resolution: int) -> np.ndarray:
-    """F sampled on the (resolution+1)^2 corner grid, as floats."""
-    r = resolution
-    ticks = np.linspace(0.0, 1.0, r + 1)
-    if isinstance(mu, MixturePermuton):
-        out = np.zeros((r + 1, r + 1))
-        for c, w in zip(mu.components, mu.weights):
-            out += float(w) * cdf_grid(c, resolution)
-        return out
-    if isinstance(mu, SegmentPermuton):
-        out = np.zeros((r + 1, r + 1))
-        A = ticks[:, None, None]
-        B = ticks[None, :, None]
-        x0 = np.array([float(s.x0) for s in mu.segments])[None, None, :]
-        y0 = np.array([float(s.y0) for s in mu.segments])[None, None, :]
-        dx = np.array([float(s.x1 - s.x0) for s in mu.segments])[None, None, :]
-        dy = np.array([float(s.y1 - s.y0) for s in mu.segments])[None, None, :]
-        w = np.array([float(s.mass) for s in mu.segments])[None, None, :]
-        lo = np.zeros_like(A + B + x0)
-        hi = np.ones_like(lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for start, delta, bound in ((x0, dx, A), (y0, dy, B)):
-                t = (bound - start) / np.where(delta == 0, np.nan, delta)
-                pos = delta > 0
-                neg = delta < 0
-                zer = delta == 0
-                hi = np.where(pos, np.minimum(hi, t), hi)
-                lo = np.where(neg, np.maximum(lo, t), lo)
-                # delta == 0: inside iff start <= bound
-                hi = np.where(zer & (start > bound), -1.0, hi)
-        frac = np.clip(hi - lo, 0.0, 1.0)
-        return (frac * w).sum(axis=2)
-    if isinstance(mu, GridPermuton):
-        n = mu.n
-        out = np.empty((r + 1, r + 1))
-        items = sorted(mu.cells.items())
-        ci = np.array([i for (i, _), _ in items], dtype=np.int64)
-        cj = np.array([j for (_, j), _ in items], dtype=np.int64)
-        cm = np.array([float(m) for _, m in items])
-        for gx, a in enumerate(ticks):
-            cx = np.clip(n * a - (ci - 1), 0.0, 1.0)
-            w = cm * cx
-            # y direction: full columns below, partial column at the cut
-            col = np.zeros(n + 2)
-            np.add.at(col, cj, w)
-            cum = np.cumsum(col)
-            b = ticks * n
-            fullcols = np.floor(b).astype(np.int64)
-            fracpart = b - fullcols
-            partial = col[np.minimum(fullcols + 1, n + 1)] * fracpart
-            out[gx] = cum[np.minimum(fullcols, n + 1)] + partial
-        return out
-    raise PermutonError(f"unsupported permuton type {type(mu)!r}")
+    """F sampled on the (resolution+1)^2 corner grid, as floats.
+
+    One ``cdf_float`` call on the tick mesh; a grid permuton of size n
+    costs O(n^2 + r^2 log r).
+    """
+    ticks = np.linspace(0.0, 1.0, resolution + 1)
+    return mu.cdf_float(*np.meshgrid(ticks, ticks, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -819,50 +845,14 @@ def discrepancy_permuton(mu: Permuton, resolution: int) -> PermutonDiscrepancy:
     )
 
 
-_CDF_CHUNK = 500_000
-
-
 def cdf_many(mu: Permuton, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """F(x_i, y_i) as floats for arrays of query points."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if isinstance(mu, MixturePermuton):
-        out = np.zeros_like(xs)
-        for c, w in zip(mu.components, mu.weights):
-            out += float(w) * cdf_many(c, xs, ys)
-        return out
-    if isinstance(mu, SegmentPermuton):
-        out = np.zeros_like(xs)
-        for s in mu.segments:
-            lo = np.zeros_like(xs)
-            hi = np.ones_like(xs)
-            for start, delta, bound in (
-                (float(s.x0), float(s.x1 - s.x0), xs),
-                (float(s.y0), float(s.y1 - s.y0), ys),
-            ):
-                if delta > 0:
-                    hi = np.minimum(hi, (bound - start) / delta)
-                elif delta < 0:
-                    lo = np.maximum(lo, (bound - start) / delta)
-                else:
-                    hi = np.where(start > bound, -1.0, hi)
-            out += float(s.mass) * np.clip(hi - lo, 0.0, 1.0)
-        return out
-    if isinstance(mu, GridPermuton):
-        n = mu.n
-        items = sorted(mu.cells.items())
-        ci = np.array([i for (i, _), _ in items], dtype=float)
-        cj = np.array([j for (_, j), _ in items], dtype=float)
-        cm = np.array([float(m) for _, m in items])
-        out = np.empty_like(xs)
-        step = max(1, _CDF_CHUNK // max(1, len(items)))
-        for lo_i in range(0, len(xs), step):
-            sl = slice(lo_i, lo_i + step)
-            cx = np.clip(n * xs[sl, None] - (ci - 1), 0.0, 1.0)
-            cy = np.clip(n * ys[sl, None] - (cj - 1), 0.0, 1.0)
-            out[sl] = (cm * cx * cy).sum(axis=1)
-        return out
-    raise PermutonError(f"unsupported permuton type {type(mu)!r}")
+    """F(x_i, y_i) as floats for arrays of query points.
+
+    Grid permutons of size n cost O(n^2 + points log points) time and
+    O(n + points) memory beyond a fixed block budget; segment and mixture
+    permutons cost O(points x segments).
+    """
+    return mu.cdf_float(xs, ys)
 
 
 def moment(mu: Permuton, p: int, q: int) -> Fraction:

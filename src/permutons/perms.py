@@ -22,6 +22,15 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 DEFAULT_SEED = 20130409  # documented default; bare runs are reproducible
 
 
+def binomial_ci99(hits: int, samples: int) -> float:
+    """99% half-width for hits/samples: Wald, or at 0 or all hits, where
+    Wald claims certainty, the Wilson bound z^2 / (samples + z^2)."""
+    if 0 < hits < samples:
+        est = hits / samples
+        return Z99 * math.sqrt(est * (1 - est) / samples)
+    return Z99 * Z99 / (samples + Z99 * Z99)
+
+
 class PermError(ValueError):
     """Invalid permutation input or out-of-range argument."""
 
@@ -253,6 +262,4 @@ def density_sampled(
         ranks = np.argsort(np.argsort(vals, axis=1), axis=1) + 1
         hits += int(np.sum(np.all(ranks == pat, axis=1)))
         remaining -= m
-    est = hits / samples
-    half = Z99 * math.sqrt(max(est * (1.0 - est), 0.0) / samples)
-    return est, half
+    return hits / samples, binomial_ci99(hits, samples)

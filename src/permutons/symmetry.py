@@ -25,7 +25,7 @@ import numpy as np
 from . import counting
 from .measures import GridPermuton, Permuton, PermutonError, density_exact_grid, \
     from_perm, pattern_histogram_mc
-from .perms import DEFAULT_SEED, Perm, PermError, Z99
+from .perms import DEFAULT_SEED, Perm, PermError, binomial_ci99
 
 DEFAULT_MC_SAMPLES = 1_000_000
 
@@ -93,8 +93,7 @@ def _defect_mc(mu: Permuton, k: int, samples: int, seed: int) -> SymmetryVerdict
     for pat, cnt in hist.items():
         est = cnt / samples
         dens[pat] = est
-        ci = Z99 * math.sqrt(max(est * (1 - est), 0.0) / samples)
-        worst_ci = max(worst_ci, ci)
+        worst_ci = max(worst_ci, binomial_ci99(cnt, samples))
         dev = abs(est - share)
         if dev > best:
             best, witness = dev, pat

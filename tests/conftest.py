@@ -2,8 +2,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from permutons import Perm
+
+# fixed example sequences: every run draws the same hypothesis examples
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -141,12 +142,56 @@ def test_cdf_grid_matches_pointwise():
 
 def test_cdf_many_matches_cdf():
     rng = np.random.default_rng(5)
-    xs, ys = rng.random(40), rng.random(40)
-    for mu in (from_perm(Perm((2, 4, 1, 3))), m_set(F(1, 3)),
-               MixturePermuton((m_set(F(0)), uniform()), (F(1, 2), F(1, 2)))):
+    # not a permutation's grid: cell (1, 1) carries a whole row's mass
+    heavy = GridPermuton(3, {(1, 1): F(1, 3), (2, 2): F(1, 6), (2, 3): F(1, 6),
+                             (3, 2): F(1, 6), (3, 3): F(1, 6)})
+    grid_mixture = MixturePermuton((from_perm(Perm((2, 4, 1, 3))), m_set(F(1, 3))),
+                                   (F(1, 4), F(3, 4)))
+    # (permuton, n): cell boundaries and segment ends lie on the 1/n lines
+    cases = ((from_perm(Perm((2, 4, 1, 3))), 4), (m_set(F(1, 3)), 6),
+             (MixturePermuton((m_set(F(0)), uniform()), (F(1, 2), F(1, 2))), 2),
+             (from_perm(random_perm(rng, 400)), 400), (heavy, 3), (uniform(), 1),
+             (grid_mixture, 12))
+    for mu, n in cases:
+        # random points, each 1/n line against random partners, the corners
+        ticks = np.arange(n + 1) / n
+        xs = np.concatenate([rng.random(200), ticks, rng.random(n + 1), [0, 0, 1, 1]])
+        ys = np.concatenate([rng.random(200), rng.random(n + 1), ticks, [0, 1, 0, 1]])
         got = cdf_many(mu, xs, ys)
         want = [float(cdf(mu, F(x), F(y))) for x, y in zip(xs, ys)]
-        assert np.allclose(got, want, atol=1e-12)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    with np.errstate(invalid="ignore"):
+        got = cdf_many(cases[0][0], np.array([np.nan, 0.5]), np.array([0.5, np.nan]))
+    assert np.isnan(got).all()
+
+
+def test_cdf_grid_is_cdf_many_on_ticks():
+    rng = np.random.default_rng(23)
+    mixture = MixturePermuton((m_set(F(1)), from_perm(random_perm(rng, 7))),
+                              (F(2, 5), F(3, 5)))
+    r = 30
+    ticks = np.linspace(0.0, 1.0, r + 1)
+    gx, gy = np.meshgrid(ticks, ticks, indexing="ij")
+    for mu in (from_perm(random_perm(rng, 50)), m_set(F(1, 2)), mixture):
+        want = cdf_many(mu, gx.ravel(), gy.ravel()).reshape(r + 1, r + 1)
+        assert np.array_equal(cdf_grid(mu, r), want)
+
+
+def test_cdf_many_grid_never_builds_dense_table():
+    # a dense (n+1)^2 float table alone would take 72 MB
+    rng = np.random.default_rng(3)
+    mu = from_perm(random_perm(rng, 3000))
+    xs, ys = rng.random(100_000), rng.random(100_000)
+    tracemalloc.start()
+    try:
+        got = cdf_many(mu, xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # the table is swept in many blocks at this size; spot-check the values
+    want = [float(cdf(mu, F(x), F(y))) for x, y in zip(xs[:20], ys[:20])]
+    assert np.allclose(got[:20], want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +273,14 @@ def test_density_mc_agrees_with_exact():
     exact = float(density_exact_grid(Perm((1, 2)), mu))
     est, ci = density_mc(Perm((1, 2)), mu, 60_000, seed=31)
     assert abs(est - exact) < 4 * ci
+
+
+def test_density_mc_zero_hits_keeps_an_interval():
+    identity = SegmentPermuton((Segment(0, 0, 1, 1, 1),))
+    est, ci = density_mc((2, 1), identity, 2_000, seed=4)
+    assert est == 0.0 and ci > 0
+    est, ci = density_mc((1, 2), identity, 2_000, seed=4)
+    assert est == 1.0 and ci > 0
 
 
 def test_event_prob_symmetrizes_to_density():
