@@ -22,7 +22,7 @@ from .measures import (
     PermutonDiscrepancy, PermutonError, Segment, SegmentPermuton, cdf,
     cdf_grid, density_exact_grid, density_mc, discrepancy_permuton,
     event_prob_mc, from_perm, m_set, marginal_check, moment,
-    pattern_histogram_mc, sample_patterns, sample_perm, sample_point,
+    pattern_histogram_mc, sample_patterns, sample_perm,
     segments_from_endpoints, uniform,
 )
 from .permuton_io import load_permuton, parse_permuton
@@ -56,7 +56,7 @@ __all__ = [
     "occurrences", "occurrences_naive", "parse_perm", "parse_permuton",
     "pattern_histogram_mc", "pattern_of", "prefix_bound_check", "profile",
     "profile_naive", "reflection_report", "reflections", "sample_patterns",
-    "sample_perm", "sample_point", "search_inflatable",
+    "sample_perm", "search_inflatable",
     "segments_from_endpoints", "symmetry_defect", "t_id3_segment",
     "uniform",
 ]

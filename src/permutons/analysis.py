@@ -143,8 +143,6 @@ def _mc_mean(values: np.ndarray) -> tuple[float, float]:
 def _mc_f_integrals(mu: Permuton, samples: int, seed: int):
     """(i1, ci1), (i2, ci2) from one batch of mu-points."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    i1s = np.empty(0)
-    i2s = np.empty(0)
     chunk = 2_000_000
     parts1, parts2 = [], []
     remaining = samples

@@ -95,8 +95,8 @@ def build_parser() -> _Parser:
         if resolution:
             sp.add_argument("--resolution", type=int, default=None)
         if threads:
-            sp.add_argument("--threads", type=int,
-                            default=os.cpu_count() or 1)
+            sp.add_argument("--threads", type=int, default=1,
+                            help="accepted for compatibility and ignored")
         if out:
             sp.add_argument("--out", default=None)
         if fmt:
@@ -277,8 +277,7 @@ def _run_inflatable(args) -> list[str]:
 
 def _run_search(args) -> list[str]:
     found = symmetry.search_inflatable(args.n, args.k,
-                                       prune=not args.no_prune,
-                                       threads=args.threads)
+                                       prune=not args.no_prune)
     lines = [p.one_line() for p in found]
     lines.append(f"count={len(found)}")
     if found:

@@ -3,12 +3,14 @@
 ``profile(tau, k)`` returns occurrence counts of every length-k pattern:
 k <= 2 and k = 3 run in O(n log n) from per-position quadrant statistics,
 k = 4 in O(n^2) via two vectorized sweeps over middle pairs.  k = 5, 6 fall
-back to chunked subset enumeration (|tau| <= 60).  ``profile_naive`` is the
-independent oracle used by the test suite; the fast paths must agree with it
-exactly.
+back to chunked subset enumeration (|tau| <= 60).  ``three_counts`` is the
+k = 3 formula over the last axis of a batch, shared with the S_n search.
+``profile_naive`` is the independent oracle used by the test suite; the fast
+paths must agree with it exactly.
 
 All counts are Python ints (the numpy accumulators stay below 2^63 for
-n <= 10^4: the largest intermediate is bounded by n * C(n, 3) < 2^61).
+n <= 10^4: the largest intermediate is bounded by n * C(n, 3) < 2^61), and
+k = 4 profiles beyond n = PROFILE4_MAX_N = 10^4 are refused.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from typing import Dict, Iterable, Sequence, Tuple
 import numpy as np
 
 Pattern = Tuple[int, ...]
+
+PROFILE4_MAX_N = 10_000
 
 
 def pattern_of(values: Sequence[int]) -> Pattern:
@@ -99,34 +103,33 @@ def _profile2(tau: Sequence[int]) -> Dict[Pattern, int]:
     return {(1, 2): asc, (2, 1): n * (n - 1) // 2 - asc}
 
 
+def three_counts(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Six length-3 occurrence counts of each row of v, over the last axis.
+
+    a[..., j] = #{i < j : v_i < v_j}.  The rows may take values 0..n-1 or
+    1..n (only the row minimum is assumed to be the smallest rank).  Returns
+    shape (6, ...) in all_patterns(3) order: 123, 132, 213, 231, 312, 321.
+    Every triple is classified by its extreme element relative to one of
+    its positions.
+    """
+    n = v.shape[-1]
+    j = np.arange(n, dtype=np.int64)
+    b = j - a                                         # larger, left
+    c = (v - v.min(axis=-1, keepdims=True)) - a       # smaller, right
+    d = (n - 1 - j) - c                               # larger, right
+    c123 = (a * d).sum(axis=-1)
+    c321 = (b * c).sum(axis=-1)
+    c213 = (a * (a - 1) // 2).sum(axis=-1) - c123     # both left, both smaller
+    c231 = (b * (b - 1) // 2).sum(axis=-1) - c321     # both left, both larger
+    c312 = (c * (c - 1) // 2).sum(axis=-1) - c321     # both right, both smaller
+    c132 = math.comb(n, 3) - (c123 + c213 + c231 + c312 + c321)
+    return np.stack((c123, c132, c213, c231, c312, c321))
+
+
 def _profile3(tau: Sequence[int]) -> Dict[Pattern, int]:
-    """Quadrant statistics: every triple is classified by its extreme
-    element relative to one of its positions."""
-    n = len(tau)
-    v = np.asarray(tau, dtype=np.int64)
-    a = left_smaller_counts(tau)          # smaller, left
-    j_idx = np.arange(n, dtype=np.int64)
-    b = j_idx - a                         # larger, left
-    c = (v - 1) - a                       # smaller, right
-    d = (n - v) - b                       # larger, right
-    c123 = int((a * d).sum())
-    c321 = int((b * c).sum())
-    sa = int((a * (a - 1) // 2).sum())    # both left, both smaller
-    sb = int((b * (b - 1) // 2).sum())    # both left, both larger
-    sc = int((c * (c - 1) // 2).sum())    # both right, both smaller
-    c213 = sa - c123
-    c231 = sb - c321
-    c312 = sc - c321
-    total = math.comb(n, 3)
-    c132 = total - (c123 + c213 + c231 + c312 + c321)
-    return {
-        (1, 2, 3): c123,
-        (1, 3, 2): c132,
-        (2, 1, 3): c213,
-        (2, 3, 1): c231,
-        (3, 1, 2): c312,
-        (3, 2, 1): c321,
-    }
+    counts = three_counts(np.asarray(tau, dtype=np.int64),
+                          left_smaller_counts(tau))
+    return {p: int(x) for p, x in zip(all_patterns(3), counts)}
 
 
 def _zone_signature_map() -> Dict[Tuple[bool, int, int], Pattern]:
@@ -283,7 +286,8 @@ def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
     split(False, 1, d3412, False)  # (desc, mid): 2413 / 3412
     split(False, 2, d3214, True)   # (desc, high): 3214 / 4213
 
-    assert sum(table.values()) == math.comb(n, 4), "4-profile lost mass"
+    if sum(table.values()) != math.comb(n, 4):
+        raise RuntimeError("4-profile lost mass")
     return table
 
 
@@ -340,6 +344,9 @@ def profile(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
     if k == 3:
         return _profile3(tau)
     if k == 4:
+        if n > PROFILE4_MAX_N:
+            raise ValueError(f"k = 4 exact profiles limited to |tau| <= "
+                             f"{PROFILE4_MAX_N} (int64 accumulators)")
         return _profile4(tau)
     if k in (5, 6):
         if n > 60:

@@ -512,11 +512,6 @@ class MixturePermuton(Permuton):
 # sampling-derived operations
 
 
-def sample_point(mu: Permuton, rng: np.random.Generator) -> tuple[float, float]:
-    x, y = mu.sample_xy(rng, 1)
-    return float(x[0]), float(y[0])
-
-
 def sample_perm(mu: Permuton, k: int, rng: np.random.Generator) -> Perm:
     """Pattern of k iid mu-points (sorted by x, ranked by y)."""
     pats = sample_patterns(mu, k, 1, rng)

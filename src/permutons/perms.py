@@ -189,6 +189,17 @@ class DensityReport:
         return max(self.entries, key=lambda p: abs(self.entries[p] - target))
 
 
+def _check_exact_size(k: int, n: int) -> None:
+    """Refuse the sizes the exact counting engines do not take."""
+    if k > 6:
+        raise PermError("exact path supports k <= 6")
+    if k >= 5 and n > 60:
+        raise PermError("k = 5, 6 exact densities limited to |tau| <= 60")
+    if k == 4 and n > counting.PROFILE4_MAX_N:
+        raise PermError(f"k = 4 exact densities limited to |tau| <= "
+                        f"{counting.PROFILE4_MAX_N}")
+
+
 def density_exact(pi: Perm, tau: Perm) -> Fraction:
     """t(pi, tau): fraction of |pi|-subsets of tau inducing pi.
 
@@ -198,6 +209,7 @@ def density_exact(pi: Perm, tau: Perm) -> Fraction:
     k, n = len(pi), len(tau)
     if k > n:
         raise PermError(f"pattern length {k} exceeds |tau| = {n}")
+    _check_exact_size(k, n)
     occ = counting.occurrences(pi.images, tau.images)
     return Fraction(occ, math.comb(n, k))
 
@@ -211,10 +223,7 @@ def all_densities(k: int, tau: Perm) -> DensityReport:
     n = len(tau)
     if not 1 <= k <= n:
         raise PermError(f"k = {k} out of range 1..{n}")
-    if k > 6:
-        raise PermError("exact path supports k <= 6")
-    if k >= 5 and n > 60:
-        raise PermError("k = 5, 6 exact densities limited to |tau| <= 60")
+    _check_exact_size(k, n)
     prof = counting.profile(tau.images, k)
     denom = math.comb(n, k)
     entries: dict[Perm, Fraction | float] = {

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -115,37 +114,30 @@ def is_inflatable(tau, k: int) -> tuple[bool, SymmetryVerdict]:
 # exhaustive search
 
 
-def _perm_chunks(n: int, chunk: int) -> Iterable[np.ndarray]:
-    it = itertools.permutations(range(1, n + 1))
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
+_TAIL = 8  # each block is one prefix followed by all 8! = 40,320 tails
 
 
-def _three_counts(v: np.ndarray):
-    """Six length-3 occurrence counts per row, plus occ12/occ21, vectorized."""
-    m, n = v.shape
-    less = v[:, :, None] > v[:, None, :]  # less[r, j, i] = v[r,i] < v[r,j]
-    # a[r, j] = #{i < j : v_i < v_j}
-    ilesj = np.tril(np.ones((n, n), dtype=bool), -1)  # [j, i] with i < j
-    a = (less & ilesj).sum(axis=2)
-    b = np.arange(n)[None, :] - a
-    igrtj = np.triu(np.ones((n, n), dtype=bool), 1)   # [j, l] with l > j
-    lessr = v[:, None, :] < v[:, :, None]             # lessr[r, j, l] = v_l < v_j
-    c = (lessr & igrtj).sum(axis=2)
-    d = (n - 1) - np.arange(n)[None, :] - c
-    occ12 = a.sum(axis=1)
-    occ21 = b.sum(axis=1)
-    c123 = (a * d).sum(axis=1)
-    c321 = (b * c).sum(axis=1)
-    choose2 = lambda x: x * (x - 1) // 2
-    c213 = choose2(a).sum(axis=1) - c123
-    c231 = choose2(b).sum(axis=1) - c321
-    c312 = choose2(c).sum(axis=1) - c321
-    c132 = math.comb(n, 3) - (c123 + c213 + c231 + c312 + c321)
-    return (c123, c132, c213, c231, c312, c321), occ12, occ21
+def _tail_table(t: int) -> np.ndarray:
+    """All permutations of range(t) in lexicographic order, shape (t!, t)."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    for s in range(1, t + 1):
+        table = np.concatenate([
+            np.column_stack((np.full(len(table), f), table + (table >= f)))
+            for f in range(s)])
+    return table
+
+
+def _perm_chunks(n: int) -> Iterable[np.ndarray]:
+    """S_n in lexicographic order, one block per (n - t)-prefix, t = min(n, 8)."""
+    t = min(n, _TAIL)
+    tails = _tail_table(t)
+    values = range(1, n + 1)
+    for prefix in itertools.permutations(values, n - t):
+        rest = np.array(sorted(set(values) - set(prefix)), dtype=np.int64)
+        block = np.empty((len(tails), n), dtype=np.int64)
+        block[:, :n - t] = prefix
+        block[:, n - t:] = rest[tails]
+        yield block
 
 
 def _score_hits(v: np.ndarray) -> np.ndarray:
@@ -156,8 +148,11 @@ def _score_hits(v: np.ndarray) -> np.ndarray:
     123, 9*occ12 + n for 132/213, 9*occ21 + n for 231/312, 18*occ21 + n
     for 321 (block decompositions of length <= 3).
     """
-    m, n = v.shape
-    (c123, c132, c213, c231, c312, c321), occ12, occ21 = _three_counts(v)
+    n = v.shape[1]
+    a = np.tril(v[:, None, :] < v[:, :, None], -1).sum(2)  # [r, j]: i < j, v_i < v_j
+    c123, c132, c213, c231, c312, c321 = counting.three_counts(v, a)
+    occ12 = a.sum(1)
+    occ21 = math.comb(n, 2) - occ12
     target = n ** 3
     ok = (36 * c123 + 18 * occ12 + n == target)
     ok &= (36 * c132 + 9 * occ12 + n == target)
@@ -193,44 +188,30 @@ def _is_orbit_representative(v: np.ndarray) -> np.ndarray:
     return codes[0] == codes.min(axis=0)
 
 
-_SEARCH_CHUNK = 40_000
-
-
 def search_inflatable(n: int, k: int, prune: bool = True,
                       threads: int = 1) -> list[Perm]:
     """All k-inflatable permutations in S_n, sorted lexicographically.
 
-    Exhaustive over n! candidates (n <= 10; n = 10 takes on the order of a
-    minute).  With prune, only lexicographic minima of the 8-element
-    reverse/complement/inverse orbits are scored and hits are expanded back
-    to full orbits; the defect is orbit-invariant, so the result set is
-    unchanged.  k = 4 filters by exact 3-symmetry first (k-symmetry of any
-    measure forces (k-1)-symmetry by marginalization) and then applies the
-    exact rational 4-pattern verdict to survivors.
+    Exhaustive over n! candidates (n <= 10; n = 10 takes a few seconds),
+    generated as numpy blocks of 8! rows that share a prefix.  With prune,
+    only lexicographic minima of the 8-element reverse/complement/inverse
+    orbits are scored and hits are expanded back to full orbits; the defect
+    is orbit-invariant, so the result set is unchanged.  k = 4 filters by
+    exact 3-symmetry first (k-symmetry of any measure forces (k-1)-symmetry
+    by marginalization) and then applies the exact rational 4-pattern
+    verdict to survivors.  threads is accepted for compatibility and
+    ignored: the search runs in one thread.
     """
     if not 2 <= n <= 10:
         raise PermutonError("search supports 2 <= n <= 10")
     if k not in (3, 4):
         raise PermutonError("search supports k = 3 or 4")
-    threads = max(1, int(threads))
-
-    def scan(chunk: np.ndarray) -> list[tuple[int, ...]]:
-        if prune:
-            keep = _is_orbit_representative(chunk)
-            chunk = chunk[keep]
-            if not len(chunk):
-                return []
-        ok = _score_hits(chunk)
-        return [tuple(int(x) for x in row) for row in chunk[ok]]
 
     hits: list[tuple[int, ...]] = []
-    if threads == 1:
-        for chunk in _perm_chunks(n, _SEARCH_CHUNK):
-            hits.extend(scan(chunk))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(scan, _perm_chunks(n, _SEARCH_CHUNK)):
-                hits.extend(part)
+    for block in _perm_chunks(n):
+        if prune:
+            block = block[_is_orbit_representative(block)]
+        hits.extend(map(tuple, block[_score_hits(block)].tolist()))
 
     if prune and hits:
         arr = np.array(sorted(hits), dtype=np.int64)

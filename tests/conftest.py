@@ -12,7 +12,10 @@ settings.load_profile("derandomized")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# the two order-9 permutations with balanced 3-pattern profile (8,17,17,17,17,8)
+# two order-9 near misses with 3-profile (8,17,17,17,17,8), not grid-3-symmetric:
+# occ(12) = 18 breaks the order-9 congruence occ(12) = 0 (mod 4), and the exact
+# 3-symmetry defect is 2/81.  The order-9 pair with all six 3-counts equal
+# (14 each) is 349852167 / 761258943.
 BALANCED_9 = (
     Perm((4, 3, 8, 9, 5, 1, 2, 7, 6)),
     Perm((4, 7, 2, 9, 5, 1, 8, 3, 6)),

@@ -10,6 +10,7 @@ from permutons import (
     all_patterns, inversions, left_smaller_counts, occurrences,
     occurrences_naive, pattern_of, profile, profile_naive,
 )
+from permutons.counting import PROFILE4_MAX_N, three_counts
 
 
 def test_pattern_of():
@@ -74,3 +75,26 @@ def test_occurrences_matches_naive():
         k = int(rng.integers(2, 5))
         pat = tuple(int(v) + 1 for v in rng.permutation(k))
         assert occurrences(pat, tau) == occurrences_naive(pat, tau)
+
+
+def test_three_counts_matches_oracle_on_batches():
+    # 1-based and 0-based rows, a from a direct double loop
+    rng = np.random.default_rng(17)
+    for n in range(1, 13):
+        rows = np.array([rng.permutation(n) + 1 for _ in range(25)],
+                        dtype=np.int64)
+        a = np.array([[sum(r[i] < r[j] for i in range(j)) for j in range(n)]
+                      for r in rows], dtype=np.int64)
+        for batch in (rows, rows - 1):
+            counts = three_counts(batch, a)
+            assert counts.shape == (6, len(rows))
+            for r, row in enumerate(batch):
+                expect = profile_naive(tuple(row), 3)
+                assert dict(zip(all_patterns(3), counts[:, r].tolist())) \
+                    == expect, (row, n)
+
+
+def test_profile4_refuses_beyond_int64_safe_range():
+    tau = tuple(range(1, PROFILE4_MAX_N + 2))
+    with pytest.raises(ValueError, match=str(PROFILE4_MAX_N)):
+        profile(tau, 4)

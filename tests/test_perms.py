@@ -103,6 +103,16 @@ def test_densities_defect_and_witness():
     assert rep.entries[Perm((3, 2, 1))] == 0
 
 
+def test_exact_size_limits_are_validation_errors():
+    big = Perm(tuple(range(1, 10_002)))
+    with pytest.raises(PermError, match="10000"):
+        all_densities(4, big)
+    with pytest.raises(PermError, match="10000"):
+        density_exact(Perm((2, 1, 4, 3)), big)
+    with pytest.raises(PermError, match="60"):
+        density_exact(Perm((1, 2, 3, 4, 5)), Perm(tuple(range(1, 62))))
+
+
 def test_density_sampled_matches_exact():
     pi, tau = Perm((1, 2)), Perm((2, 4, 1, 5, 3))
     exact = density_exact(pi, tau)

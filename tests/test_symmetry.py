@@ -1,6 +1,8 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from permutons import (
     Perm, from_perm, is_inflatable, m_set, profile, reflection_report,
     search_inflatable, symmetry_defect, uniform,
 )
-from permutons.symmetry import _score_hits, _three_counts
+from permutons.symmetry import _perm_chunks, _score_hits
 
 from conftest import BALANCED_9
 
@@ -103,6 +105,24 @@ def test_search_prune_consistency():
 
 def test_search_threads_consistency():
     assert search_inflatable(8, 3, threads=4) == search_inflatable(8, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_perm_chunks_enumerate_sn_in_lexicographic_order(n):
+    rows = np.concatenate(list(_perm_chunks(n)))
+    expected = np.array(list(itertools.permutations(range(1, n + 1))))
+    assert np.array_equal(rows, expected)
+
+
+def test_search_memory_stays_bounded():
+    # one block of 8! rows is live at a time, whatever threads says
+    tracemalloc.start()
+    try:
+        assert search_inflatable(9, 3, threads=4) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
 
 
 def test_search_argument_validation():
