@@ -9,8 +9,10 @@ k = 3 formula over the last axis of a batch, shared with the S_n search.
 paths must agree with it exactly.
 
 All counts are Python ints (the numpy accumulators stay below 2^63 for
-n <= 10^4: the largest intermediate is bounded by n * C(n, 3) < 2^61), and
-k = 4 profiles beyond n = PROFILE4_MAX_N = 10^4 are refused.
+n <= 10^4: the largest intermediate is bounded by n * C(n, 3) < 2^61).
+k = 4 profiles beyond n = PROFILE4_MAX_N = 10^4 and k = 3 profiles beyond
+n = PROFILE3_MAX_N = 3 * 10^6 (C(n, 3) passes 2^63 near 3.8 * 10^6) are
+refused.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 Pattern = Tuple[int, ...]
 
+PROFILE3_MAX_N = 3_000_000
 PROFILE4_MAX_N = 10_000
 
 
@@ -57,35 +60,55 @@ def profile_naive(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
     return table
 
 
-class _Fenwick:
-    """Binary indexed tree over values 1..n (prefix counts)."""
+_BASE = 16
+_STRICTLY_LOWER = np.tri(_BASE, k=-1, dtype=bool)
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.tree = [0] * (n + 1)
 
-    def add(self, v: int) -> None:
-        while v <= self.n:
-            self.tree[v] += 1
-            v += v & (-v)
-
-    def count_le(self, v: int) -> int:
-        s = 0
-        while v > 0:
-            s += self.tree[v]
-            v -= v & (-v)
-        return s
+def _block_counts(rows: np.ndarray) -> np.ndarray:
+    """left_smaller_counts within each row, by one broadcast comparison."""
+    w = rows.shape[1]
+    below = rows[:, None, :] < rows[:, :, None]
+    below &= _STRICTLY_LOWER[:w, :w]
+    return below.sum(axis=2).ravel()
 
 
 def left_smaller_counts(values: Sequence[int]) -> np.ndarray:
-    """c[j] = #{i < j : values[i] < values[j]}, O(n log n)."""
+    """c[j] = #{i < j : values[i] < values[j]}, O(n log n), no loop over j.
+
+    Bottom-up merge sort over positions: blocks of _BASE by one broadcast
+    comparison, then sorted runs double each level and a right-run element
+    gains the left-run elements merged ahead of it.  The sort key
+    value * size + (size - 1 - position) carries the position and puts an
+    equal left-run value behind, so ties are not counted.  Memory: four
+    int64 arrays of the padded size.  |values| must stay below 2^62 / n.
+    """
     n = len(values)
-    fen = _Fenwick(n)
-    out = np.zeros(n, dtype=np.int64)
-    for j, v in enumerate(values):
-        out[j] = fen.count_le(v - 1)
-        fen.add(v)
-    return out
+    size = 1 << max(n - 1, 0).bit_length()
+    w = min(_BASE, size)
+    keys = np.zeros(size, dtype=np.int64)   # padding sits right of every value
+    keys[:n] = values
+    out = _block_counts(keys.reshape(-1, w))
+    if w == size:                            # one block, no merge level
+        return out[:n]
+    if not 0 <= np.abs(keys).max() < (1 << 62) // size:
+        raise ValueError("left_smaller_counts: values too large for int64 keys")
+    mask = size - 1
+    keys *= size
+    keys += np.arange(mask, -1, -1)
+    pos = np.empty_like(keys)
+    lefts = np.empty_like(keys)
+    while w < size:
+        keys.reshape(-1, 2 * w).sort(axis=1)     # the keys are distinct
+        np.invert(keys, out=pos)
+        pos &= mask
+        np.bitwise_and(pos, w, out=lefts)        # nonzero in the right run
+        right = lefts != 0
+        np.equal(lefts, 0, out=lefts)            # 1 in the left run
+        np.cumsum(lefts.reshape(-1, 2 * w), axis=1, out=lefts.reshape(-1, 2 * w))
+        lefts *= right                           # left-run elements ahead
+        np.add.at(out, pos, lefts)
+        w *= 2
+    return out[:n]
 
 
 def inversions(tau: Sequence[int]) -> int:
@@ -127,8 +150,8 @@ def three_counts(v: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _profile3(tau: Sequence[int]) -> Dict[Pattern, int]:
-    counts = three_counts(np.asarray(tau, dtype=np.int64),
-                          left_smaller_counts(tau))
+    v = np.asarray(tau, dtype=np.int64)
+    counts = three_counts(v, left_smaller_counts(v))
     return {p: int(x) for p, x in zip(all_patterns(3), counts)}
 
 
@@ -178,7 +201,7 @@ def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
     if n < 4:
         return table
     v = np.asarray(tau, dtype=np.int64)
-    c_self = left_smaller_counts(tau)     # c_self[p] = #{q < p: v_q < v_p}
+    c_self = left_smaller_counts(v)       # c_self[p] = #{q < p: v_q < v_p}
     pos = np.arange(n, dtype=np.int64)
 
     acc = {True: np.zeros((3, 3), dtype=np.int64),
@@ -342,6 +365,9 @@ def profile(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
     if k == 2:
         return _profile2(tau)
     if k == 3:
+        if n > PROFILE3_MAX_N:
+            raise ValueError(f"k = 3 exact profiles limited to |tau| <= "
+                             f"{PROFILE3_MAX_N} (int64 accumulators)")
         return _profile3(tau)
     if k == 4:
         if n > PROFILE4_MAX_N:

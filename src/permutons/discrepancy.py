@@ -6,9 +6,11 @@ exact mode reports an exact rational as (numerator, n^2) alongside the float.
 
 Modes:
 
-* ``exact``: true maximum, O(n^3): for every position interval A the inner
+* ``exact``: true maximum, O(n^3): the ``grid`` sweep with every position
+  and value as a cut.  For every position interval A the inner
   maximization over B is the spread of the prefix statistic
-  P[b] = n*cnt(b) - |A|*b.  Practical into the low thousands.
+  P[b] = n*cnt(b) - |A|*b, read off one (n+1)^2 corner table.  Refused
+  beyond n = EXACT_MAX_N = 2000.
 * ``prefix_bound``: s = max over prefix pairs of |ab/n^2 - N(a,b)/n| in
   O(n^2).  The grid-corner argument gives s <= d <= 4s exactly.
 * ``grid``: certified enclosure for large n.  Endpoints restricted to about
@@ -21,9 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+
+from .perms import PermError
+
+# the (n+1)^2 int64 corner table is 32 MB here, about a third of the peak
+EXACT_MAX_N = 2000
 
 
 @dataclass(frozen=True)
@@ -70,23 +76,6 @@ def discrepancy_brute(tau) -> DiscrepancyResult:
                              "brute", best, n)
 
 
-def _discrepancy_exact(v: np.ndarray) -> DiscrepancyResult:
-    n = len(v)
-    bgrid = np.arange(n + 1, dtype=np.int64)
-    best = 0
-    for a1 in range(n):
-        cnt = np.zeros(n + 1, dtype=np.int64)
-        for a2 in range(a1 + 1, n + 1):
-            val = v[a2 - 1]
-            cnt[val:] += n            # running n * prefix-count over values
-            P = cnt - (a2 - a1) * bgrid
-            spread = int(P.max() - P.min())
-            if spread > best:
-                best = spread
-    return DiscrepancyResult(best / n**2, best / n**2, best / n**2,
-                             "exact", best, n)
-
-
 def _prefix_statistic(v: np.ndarray) -> int:
     """max over (a, b) in [0..n]^2 of |n*N(a,b) - a*b| (integer)."""
     n = len(v)
@@ -102,26 +91,29 @@ def _prefix_statistic(v: np.ndarray) -> int:
 
 
 def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
+    """Best interval pair with endpoints among the cuts 0 and
+    ceil(i n / r), i = 1..r; at r = n that is every pair, so exact.
+
+    Q[i, j] = n * #{p < cuts[i] : v_p <= cuts[j]} - cuts[i] * cuts[j] comes
+    from one 2-D histogram of (position, value) cut buckets and two
+    cumulative sums.  For position cuts a1 < a2 the best value interval is
+    the spread of P = Q[a2] - Q[a1]; one vectorised sweep per a1.
+    """
     n = len(v)
     r = max(2, min(resolution, n))
-    # endpoint candidates: 0 and ceil(i*n/r), i = 1..r (always includes n)
-    cuts = np.unique(np.ceil(np.arange(r + 1) * n / r).astype(np.int64))
-    N = np.zeros((len(cuts), n + 1), dtype=np.int64)
-    full = np.zeros(n + 1, dtype=np.int64)
-    pos = 0
-    for ci, c in enumerate(cuts):
-        while pos < c:
-            full[v[pos]:] += 1
-            pos += 1
-        N[ci] = full
-    Nc = N[:, cuts]                    # prefix counts at grid corners
+    cuts = np.unique(-(-np.arange(r + 1, dtype=np.int64) * n // r))
+    m = len(cuts)
+    row = np.searchsorted(cuts, np.arange(n), side="right")
+    col = np.searchsorted(cuts, v, side="left")
+    Q = np.bincount(row * m + col, minlength=m * m).reshape(m, m)
+    np.cumsum(Q, axis=0, out=Q)
+    np.cumsum(Q, axis=1, out=Q)
+    Q *= n
+    Q -= np.outer(cuts, cuts)
     best = 0
-    for i1 in range(len(cuts) - 1):
-        lens = (cuts[i1 + 1:] - cuts[i1])[:, None]
-        P = n * (Nc[i1 + 1:] - Nc[i1]) - lens * cuts[None, :]
-        spread = (P.max(axis=1) - P.min(axis=1)).max()
-        if spread > best:
-            best = int(spread)
+    for i1 in range(m - 1):
+        P = Q[i1 + 1:] - Q[i1]
+        best = max(best, int((P.max(axis=1) - P.min(axis=1)).max()))
     lower = best / n**2
     step = math.ceil(n / r)
     slack = 8.0 * step / n
@@ -136,7 +128,12 @@ def discrepancy(tau, mode: str = "exact", resolution: int = 1000) -> Discrepancy
     if n == 1:
         return DiscrepancyResult(0.0, 0.0, 0.0, mode, 0, 1)
     if mode == "exact":
-        return _discrepancy_exact(v)
+        if n > EXACT_MAX_N:
+            raise PermError(f"exact discrepancy limited to n <= {EXACT_MAX_N} "
+                            f"(O(n^3) time, (n+1)^2 corner table); use the "
+                            f"prefix_bound or grid mode")
+        d = _discrepancy_grid(v, n).numerator
+        return DiscrepancyResult(d / n**2, d / n**2, d / n**2, mode, d, n)
     if mode == "prefix_bound":
         s = _prefix_statistic(v)
         val = s / n**2

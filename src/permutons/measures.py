@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -134,19 +134,14 @@ class GridPermuton(Permuton):
         key = 0 if axis == "x" else 1
         for cell, m in self.cells.items():
             lane[cell[key]] += m
+        cum = list(accumulate(lane[1:], initial=Fraction(0)))
         out = []
         prev = Fraction(0)
         # prefix mass up to cut c: full lanes below + partial lane share
         def prefix(c: Fraction) -> Fraction:
             w = n * c
             full = int(w)  # lanes 1..full fully inside
-            if full >= n:
-                return sum(lane[1:], Fraction(0))
-            s = sum(lane[1:full + 1], Fraction(0))
-            fracpart = w - full
-            if fracpart:
-                s += lane[full + 1] * fracpart
-            return s
+            return cum[n] if full >= n else cum[full] + lane[full + 1] * (w - full)
         for s_idx in range(1, resolution + 1):
             cur = prefix(Fraction(s_idx, resolution))
             out.append(cur - prev)

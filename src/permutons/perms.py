@@ -198,6 +198,9 @@ def _check_exact_size(k: int, n: int) -> None:
     if k == 4 and n > counting.PROFILE4_MAX_N:
         raise PermError(f"k = 4 exact densities limited to |tau| <= "
                         f"{counting.PROFILE4_MAX_N}")
+    if k == 3 and n > counting.PROFILE3_MAX_N:
+        raise PermError(f"k = 3 exact densities limited to |tau| <= "
+                        f"{counting.PROFILE3_MAX_N}")
 
 
 def density_exact(pi: Perm, tau: Perm) -> Fraction:

@@ -57,6 +57,12 @@ def test_discrepancy_modes(capsys):
     assert code == 0 and "mode = grid" in out
 
 
+def test_discrepancy_exact_size_limit_is_an_error(capsys):
+    code, _, err = run(capsys, "discrepancy",
+                       " ".join(map(str, range(1, 2002))))
+    assert code == 1 and err.startswith("error:") and "grid" in err
+
+
 def test_permuton_density_auto_modes(capsys, grid_file, mset_file):
     code, out, _ = run(capsys, "permuton-density", "1 2", grid_file)
     assert code == 0 and "t = 1/4" in out and "mode = exact" in out

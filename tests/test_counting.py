@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from permutons import (
     all_patterns, inversions, left_smaller_counts, occurrences,
     occurrences_naive, pattern_of, profile, profile_naive,
 )
-from permutons.counting import PROFILE4_MAX_N, three_counts
+from permutons.counting import PROFILE3_MAX_N, PROFILE4_MAX_N, three_counts
 
 
 def test_pattern_of():
@@ -28,6 +29,44 @@ def test_all_patterns_counts():
 
 def test_left_smaller_counts():
     assert left_smaller_counts((3, 1, 4, 2)).tolist() == [0, 0, 2, 1]
+
+
+def _left_smaller_loop(values):
+    return [sum(values[i] < values[j] for i in range(j))
+            for j in range(len(values))]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 16, 17, 31, 32, 33, 64, 65, 1000])
+def test_left_smaller_counts_matches_double_loop(n):
+    # one broadcast block up to 16 positions, then merge levels over a
+    # power-of-two padding
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        tau = tuple(int(v) + 1 for v in rng.permutation(n))
+        got = left_smaller_counts(tau)
+        assert got.dtype == np.int64
+        assert got.tolist() == _left_smaller_loop(tau)
+
+
+def test_left_smaller_counts_ties_are_not_counted():
+    assert left_smaller_counts((2, 2)).tolist() == [0, 0]
+    rng = np.random.default_rng(41)
+    for n in (5, 33, 100, 300):
+        row = tuple(int(v) for v in rng.integers(-3, 4, n))
+        assert left_smaller_counts(row).tolist() == _left_smaller_loop(row)
+
+
+def test_left_smaller_counts_memory_is_linear():
+    tau = np.random.default_rng(5).permutation(10**6) + 1
+    tracemalloc.start()
+    try:
+        got = left_smaller_counts(tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2**20, peak / 2**20
+    for j in np.random.default_rng(6).integers(0, 10**6, 20):
+        assert got[j] == int((tau[:j] < tau[j]).sum())
 
 
 def test_inversions():
@@ -98,3 +137,9 @@ def test_profile4_refuses_beyond_int64_safe_range():
     tau = tuple(range(1, PROFILE4_MAX_N + 2))
     with pytest.raises(ValueError, match=str(PROFILE4_MAX_N)):
         profile(tau, 4)
+
+
+def test_profile3_refuses_beyond_int64_safe_range():
+    # the guard runs before any work: a range is never materialised
+    with pytest.raises(ValueError, match=str(PROFILE3_MAX_N)):
+        profile(range(1, PROFILE3_MAX_N + 2), 3)

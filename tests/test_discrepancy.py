@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutons import Perm, discrepancy, discrepancy_brute
+from permutons import Perm, PermError, discrepancy, discrepancy_brute
+from permutons.discrepancy import EXACT_MAX_N
 
 
 def test_identity_discrepancy():
@@ -72,3 +73,33 @@ def test_reflection_invariance():
 def test_bad_mode():
     with pytest.raises(ValueError):
         discrepancy(Perm((2, 1)), mode="psychic")
+
+
+def _exact_numerator_loop(v):
+    """O(n^3) oracle: for each position interval (a1, a2] the best value
+    interval is the spread of P[b] = n * #{a1 < i <= a2 : v_i <= b} - (a2 - a1) b."""
+    n = len(v)
+    bgrid = np.arange(n + 1, dtype=np.int64)
+    best = 0
+    for a1 in range(n):
+        cnt = np.zeros(n + 1, dtype=np.int64)
+        for a2 in range(a1 + 1, n + 1):
+            cnt[v[a2 - 1]:] += n
+            P = cnt - (a2 - a1) * bgrid
+            best = max(best, int(P.max() - P.min()))
+    return best
+
+
+def test_exact_equals_loop_oracle_beyond_brute_range():
+    rng = np.random.default_rng(31)
+    for n in [51, 200] + [int(x) for x in rng.integers(52, 200, 10)]:
+        v = tuple(int(x) + 1 for x in rng.permutation(n))
+        res = discrepancy(Perm(v))
+        assert res.numerator == _exact_numerator_loop(v), n
+        assert res.mode == "exact"
+        assert res.value == res.lower == res.upper == res.numerator / n**2
+
+
+def test_exact_refuses_beyond_size_limit():
+    with pytest.raises(PermError, match="prefix_bound.*grid"):
+        discrepancy(Perm.identity(EXACT_MAX_N + 1))

@@ -76,6 +76,24 @@ def test_m_set_marginals_uniform(a):
     assert rep.passed, (a, rep.max_deviation)
 
 
+def test_grid_strip_masses_match_per_strip_definition():
+    # a strip's mass is each lane's mass times the share of the lane it covers
+    cells = {(1, 1): F(1, 12), (1, 2): F(1, 4), (2, 1): F(1, 4),
+             (2, 3): F(1, 12), (3, 2): F(1, 12), (3, 3): F(1, 4)}
+    mu = GridPermuton(3, cells)
+    for resolution in (2, 4, 5, 7, 10, 101):
+        for axis, key in (("x", 0), ("y", 1)):
+            want = []
+            for s in range(1, resolution + 1):
+                lo, hi = F(s - 1, resolution), F(s, resolution)
+                total = F(0)
+                for cell, m in cells.items():
+                    a, b = F(cell[key] - 1, 3), F(cell[key], 3)
+                    total += m * max(min(hi, b) - max(lo, a), F(0)) * 3
+                want.append(total)
+            assert mu.strip_masses(resolution, axis) == want, (resolution, axis)
+
+
 def test_marginal_check_flags_bad_axis():
     bad = SegmentPermuton((Segment(F(0), F(0), F(1), F(1, 2), F(1)),))
     rep = marginal_check(bad, 10, 1e-9)

@@ -9,6 +9,8 @@ from permutons import (
     Perm, PermError, all_densities, density_exact, density_sampled, induce,
     parse_perm, reflections,
 )
+from permutons import counting
+from permutons.perms import _check_exact_size
 
 perms = st.permutations(range(1, 8)).map(lambda v: Perm(tuple(v)))
 
@@ -111,6 +113,12 @@ def test_exact_size_limits_are_validation_errors():
         density_exact(Perm((2, 1, 4, 3)), big)
     with pytest.raises(PermError, match="60"):
         density_exact(Perm((1, 2, 3, 4, 5)), Perm(tuple(range(1, 62))))
+
+
+def test_profile3_size_limit_is_a_validation_error():
+    _check_exact_size(3, counting.PROFILE3_MAX_N)
+    with pytest.raises(PermError, match=str(counting.PROFILE3_MAX_N)):
+        _check_exact_size(3, counting.PROFILE3_MAX_N + 1)
 
 
 def test_density_sampled_matches_exact():
