@@ -37,7 +37,7 @@ from .measures import (
     Segment, cdf_many, density_mc, discrepancy_permuton, from_perm, m_set,
     moment, sample_patterns,
 )
-from .perms import DEFAULT_SEED, Perm, Z99, all_densities
+from .perms import DEFAULT_SEED, Perm, all_densities, mc_chunks, mean_ci99
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -134,45 +134,30 @@ def _grid_cell_integrals(mu: GridPermuton) -> dict[str, Fraction]:
 # Monte Carlo / quadrature estimators
 
 
-def _mc_mean(values: np.ndarray) -> tuple[float, float]:
-    est = float(values.mean())
-    ci = Z99 * float(values.std()) / math.sqrt(len(values))
-    return est, ci
+_MC_CHUNK = 2_000_000  # points per draw; changing it changes seeded results
 
 
 def _mc_f_integrals(mu: Permuton, samples: int, seed: int):
     """(i1, ci1), (i2, ci2) from one batch of mu-points."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    chunk = 2_000_000
     parts1, parts2 = [], []
-    remaining = samples
-    while remaining > 0:
-        m = min(chunk, remaining)
+    for rng, m in mc_chunks(samples, seed, _MC_CHUNK):
         x, y = mu.sample_xy(rng, m)
         f = cdf_many(mu, x, y)
         parts1.append(f * f)
         parts2.append(f * x * y)
-        remaining -= m
-    i1s = np.concatenate(parts1)
-    i2s = np.concatenate(parts2)
-    return _mc_mean(i1s), _mc_mean(i2s)
+    return mean_ci99(np.concatenate(parts1)), mean_ci99(np.concatenate(parts2))
 
 
 def _mc_lambda_integral(mu: Permuton, samples: int, seed: int,
                         square: bool) -> tuple[float, float]:
     """MC of int F^2 dlambda (square) or int F(x,y) x y dlambda."""
-    rng = np.random.Generator(np.random.PCG64(seed))
     parts = []
-    chunk = 2_000_000
-    remaining = samples
-    while remaining > 0:
-        m = min(chunk, remaining)
+    for rng, m in mc_chunks(samples, seed, _MC_CHUNK):
         x = rng.random(m)
         y = rng.random(m)
         f = cdf_many(mu, x, y)
         parts.append(f * f if square else f * x * y)
-        remaining -= m
-    return _mc_mean(np.concatenate(parts))
+    return mean_ci99(np.concatenate(parts))
 
 
 def _quad_f2_lambda(mu: Permuton, resolution: int) -> tuple[float, float]:

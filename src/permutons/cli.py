@@ -79,6 +79,14 @@ def _budget(args) -> Budget:
                   mode=getattr(args, "mode", "auto") or "auto")
 
 
+def _seed(text: str) -> int:
+    """--seed type: PCG64 takes only non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="permutons", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -87,7 +95,7 @@ def build_parser() -> _Parser:
             resolution=False, threads=False, out=False, fmt=False, mode=False):
         sp = sub.add_parser(name, help=help_)
         if seed:
-            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
         if samples:
             sp.add_argument("--samples", type=int, default=1_000_000)
         if tol:

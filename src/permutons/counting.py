@@ -38,6 +38,11 @@ def pattern_of(values: Sequence[int]) -> Pattern:
     return tuple(out)
 
 
+def row_ranks(rows: np.ndarray) -> np.ndarray:
+    """1-based ranks of each row's entries: the patterns of the rows."""
+    return np.argsort(np.argsort(rows, axis=1), axis=1) + 1
+
+
 def all_patterns(k: int) -> list[Pattern]:
     return sorted(permutations(range(1, k + 1)))
 
@@ -340,9 +345,7 @@ def _profile_enum(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
         if not buf:
             return
         idx = np.array(buf, dtype=np.int64)
-        vals = tau_arr[idx]
-        ranks = np.argsort(np.argsort(vals, axis=1), axis=1) + 1
-        code = ranks @ powers
+        code = row_ranks(tau_arr[idx]) @ powers
         t = codes[code]
         counts[:] += np.bincount(t, minlength=len(pats))
         buf.clear()

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import counting
-from .perms import Perm, binomial_ci99
+from .perms import Perm, mc_chunks, mc_hits
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -532,7 +532,7 @@ def sample_patterns(mu: Permuton, k: int, count: int,
         order = np.argsort(x, axis=1)
         xs = np.take_along_axis(x, order, axis=1)
         ys = np.take_along_axis(y, order, axis=1)
-        ranks = np.argsort(np.argsort(ys, axis=1), axis=1) + 1
+        ranks = counting.row_ranks(ys)
         ysort = np.sort(y, axis=1)
         tied = (np.any(xs[:, 1:] == xs[:, :-1], axis=1)
                 | np.any(ysort[:, 1:] == ysort[:, :-1], axis=1)) if k > 1 else \
@@ -546,44 +546,28 @@ def sample_patterns(mu: Permuton, k: int, count: int,
         "degenerate permuton: coordinate ties persisted over 100 resampling rounds")
 
 
-_PATTERN_CHUNK = 1_000_000
-
-
 def density_mc(pi, mu: Permuton, samples: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo t(pi, mu) with 99% confidence half-width."""
     if not isinstance(pi, Perm):
         pi = Perm(tuple(pi))
     k = len(pi)
-    if samples < 1:
-        raise PermutonError("samples must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
     target = np.asarray(pi.images, dtype=np.int64)
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        m = min(_PATTERN_CHUNK, remaining)
-        pats = sample_patterns(mu, k, m, rng)
-        hits += int(np.all(pats == target, axis=1).sum())
-        remaining -= m
-    return hits / samples, binomial_ci99(hits, samples)
+    return mc_hits(
+        lambda rng, m: np.all(sample_patterns(mu, k, m, rng) == target, axis=1),
+        samples, seed)
 
 
 def pattern_histogram_mc(mu: Permuton, k: int, samples: int,
                          seed: int) -> dict[tuple[int, ...], int]:
     """Counts of each length-k pattern over ``samples`` draws."""
-    rng = np.random.Generator(np.random.PCG64(seed))
     base = k + 1
     powers = np.array([base ** (k - 1 - i) for i in range(k)], dtype=np.int64)
     code_count: dict[int, int] = {}
-    remaining = samples
-    while remaining > 0:
-        m = min(_PATTERN_CHUNK, remaining)
-        pats = sample_patterns(mu, k, m, rng)
-        codes = pats @ powers
+    for rng, m in mc_chunks(samples, seed):
+        codes = sample_patterns(mu, k, m, rng) @ powers
         vals, cnts = np.unique(codes, return_counts=True)
         for v, c in zip(vals, cnts):
             code_count[int(v)] = code_count.get(int(v), 0) + int(c)
-        remaining -= m
     out: dict[tuple[int, ...], int] = {}
     for p in counting.all_patterns(k):
         code = 0
@@ -604,21 +588,15 @@ def event_prob_mc(mu: Permuton, rho, sigma, samples: int, seed: int) -> tuple[fl
     k = len(rho)
     if len(sigma) != k:
         raise PermutonError("rho and sigma must have equal length")
-    rng = np.random.Generator(np.random.PCG64(seed))
     rtar = np.asarray(rho.images, dtype=np.int64)
     star = np.asarray(sigma.images, dtype=np.int64)
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        m = min(_PATTERN_CHUNK, remaining)
+
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
         x, y = mu.sample_xy(rng, m * k)
-        x = x.reshape(m, k)
-        y = y.reshape(m, k)
-        xr = np.argsort(np.argsort(x, axis=1), axis=1) + 1
-        yr = np.argsort(np.argsort(y, axis=1), axis=1) + 1
-        hits += int((np.all(xr == rtar, axis=1) & np.all(yr == star, axis=1)).sum())
-        remaining -= m
-    return hits / samples, binomial_ci99(hits, samples)
+        return (np.all(counting.row_ranks(x.reshape(m, k)) == rtar, axis=1)
+                & np.all(counting.row_ranks(y.reshape(m, k)) == star, axis=1))
+
+    return mc_hits(draw, samples, seed)
 
 
 # ---------------------------------------------------------------------------

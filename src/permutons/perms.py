@@ -4,7 +4,9 @@ A permutation of length n is stored as the tuple of its images
 (tau(1), ..., tau(n)), 1-indexed.  This module provides the pattern
 primitives (induced subpatterns, exact and sampled pattern densities,
 the reflection symmetries) on top of the counting engines in
-:mod:`permutons.counting`.
+:mod:`permutons.counting`, and the seeded Monte Carlo chunk loop
+(:func:`mc_chunks`) with the 99% intervals that every sampled estimator
+of the package shares.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +31,31 @@ def binomial_ci99(hits: int, samples: int) -> float:
         est = hits / samples
         return Z99 * math.sqrt(est * (1 - est) / samples)
     return Z99 * Z99 / (samples + Z99 * Z99)
+
+
+def mean_ci99(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean with the 99% normal half-width z * std / sqrt(len)."""
+    return float(values.mean()), Z99 * float(values.std()) / math.sqrt(len(values))
+
+
+def mc_chunks(samples: int, seed: int,
+              chunk: int = 1_000_000) -> Iterator[tuple[np.random.Generator, int]]:
+    """Yield (rng, m) over one PCG64(seed) stream, m <= chunk, the m summing
+    to ``samples``.  Seeded results depend on ``chunk`` through the draw
+    order, so each estimator keeps its own."""
+    if samples < 1:
+        raise PermError("samples must be >= 1")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for start in range(0, samples, chunk):
+        yield rng, min(chunk, samples - start)
+
+
+def mc_hits(draw: Callable[[np.random.Generator, int], np.ndarray],
+            samples: int, seed: int) -> tuple[float, float]:
+    """(hits / samples, binomial_ci99), where ``draw(rng, m)`` returns the m
+    booleans of one chunk of trials."""
+    hits = sum(int(draw(rng, m).sum()) for rng, m in mc_chunks(samples, seed))
+    return hits / samples, binomial_ci99(hits, samples)
 
 
 class PermError(ValueError):
@@ -246,16 +273,10 @@ def density_sampled(
     k, n = len(pi), len(tau)
     if k > n:
         raise PermError(f"pattern length {k} exceeds |tau| = {n}")
-    if samples < 1:
-        raise PermError("samples must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
     tau_arr = np.asarray(tau.images, dtype=np.int64)
     pat = np.asarray(counting.pattern_of(pi.images), dtype=np.int64)
-    hits = 0
-    remaining = samples
-    chunk = max(1, min(remaining, 1_000_000))
-    while remaining > 0:
-        m = min(chunk, remaining)
+
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
         if n <= 64:
             # small n: k-subsets as the first k of a random order
             idx = np.argsort(rng.random((m, n)), axis=1)[:, :k]
@@ -270,8 +291,6 @@ def density_sampled(
                 if nbad == 0:
                     break
                 idx[bad] = np.sort(rng.integers(0, n, size=(nbad, k)), axis=1)
-        vals = tau_arr[idx]
-        ranks = np.argsort(np.argsort(vals, axis=1), axis=1) + 1
-        hits += int(np.sum(np.all(ranks == pat, axis=1)))
-        remaining -= m
-    return hits / samples, binomial_ci99(hits, samples)
+        return np.all(counting.row_ranks(tau_arr[idx]) == pat, axis=1)
+
+    return mc_hits(draw, samples, seed)

@@ -178,3 +178,25 @@ def test_internal_error_exit_code(capsys, monkeypatch, grid_file):
     monkeypatch.setitem(cli_mod._HANDLERS, "integrals", boom)
     code, _, err = run(capsys, "integrals", grid_file)
     assert code == 2 and "internal error" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_symmetry_mc_refuses_bad_sample_counts(capsys, mset_file, samples):
+    code, out, err = run(capsys, "symmetry", mset_file, "3", "--mode", "mc",
+                         "--samples", samples)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "samples must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("density", "1 2", "2 4 1 5 3", "--mode", "mc"),
+    ("permuton-density", "1 2 3", "{mset}"),
+    ("integrals", "{mset}"),
+    ("sample", "{mset}", "3", "2"),
+    ("converge", "{mset}", "2", "5"),
+])
+def test_negative_seed_is_a_validation_error(capsys, mset_file, argv):
+    code, out, err = run(capsys, *(a.format(mset=mset_file) for a in argv),
+                         "--seed", "-3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "non-negative" in err
