@@ -21,7 +21,7 @@ from .measures import (
     GridPermuton, MarginalReport, MixturePermuton, Permuton,
     PermutonDiscrepancy, PermutonError, Segment, SegmentPermuton, cdf,
     cdf_grid, density_exact_grid, density_mc, discrepancy_permuton,
-    event_prob_mc, from_perm, m_set, marginal_check, moment,
+    event_prob_mc, from_perm, grid_densities, m_set, marginal_check, moment,
     pattern_histogram_mc, sample_patterns, sample_perm,
     segments_from_endpoints, uniform,
 )
@@ -50,7 +50,7 @@ __all__ = [
     "cdf_grid", "convergence_experiment", "cs_chain", "density_exact",
     "density_exact_grid", "density_mc", "density_sampled", "discrepancy",
     "discrepancy_brute", "discrepancy_permuton", "event_prob_mc", "find_b",
-    "find_nu", "from_perm", "identity_check", "induce", "inversions",
+    "find_nu", "from_perm", "grid_densities", "identity_check", "induce", "inversions",
     "is_inflatable", "left_smaller_counts", "lemma_integrals",
     "load_permuton", "m_set", "marginal_check", "moment", "nu_mixture",
     "occurrences", "occurrences_naive", "parse_perm", "parse_permuton",

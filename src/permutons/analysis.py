@@ -15,10 +15,25 @@ This module evaluates
   with t(id3, m_set(b)) = 1/6, and the analogous mixture weight;
 * sampled-permutation convergence tables and the CDF sandwich check.
 
-Grid permutons get exact rational values throughout (the CDF is bilinear
-on each lattice cell); other permutons use Monte Carlo with reported 99%
-half-widths, except int F^2 dlambda which uses a midpoint rule (F is
-1-Lipschitz in each coordinate, so the resolution-r error is below 2/r).
+Each of i1, i2, i3 is the probability of a fixed event on four iid
+mu-points P0..P3 = (X0, Y0)..(X3, Y3), since a uniform marginal gives
+x = P(X' <= x):
+
+* i1: P1 <= P0 and P2 <= P0 (coordinatewise);
+* i2: P1 <= P0, X2 < X0 and Y3 < Y0;
+* i3: P0 <= (X2, Y3) and P1 <= (X2, Y3).
+
+So each is a fixed rational combination of the 24 exact 4-pattern
+densities.  The coefficient of pi is the fraction of the 24 labelings of
+pi's points by P0..P3 that satisfy the event; the vectors are generated
+from the events in code (_LEMMA_COEFFICIENTS), not typed in.
+
+Grid permutons get exact rational values throughout: flat grids of a
+permutation (n <= 300) through the 4-pattern densities, other grids
+through the cell sweep (the CDF is bilinear on each lattice cell).  Other
+permutons use Monte Carlo with reported 99% half-widths, except
+int F^2 dlambda which uses a midpoint rule (F is 1-Lipschitz in each
+coordinate, so the resolution-r error is below 2/r).
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,8 +50,8 @@ from .counting import all_patterns
 from .discrepancy import discrepancy
 from .measures import (
     GridPermuton, MixturePermuton, Permuton, PermutonError, SegmentPermuton,
-    Segment, cdf_many, density_mc, discrepancy_permuton, from_perm, m_set,
-    moment, sample_patterns,
+    Segment, cdf_many, density_mc, discrepancy_permuton, from_perm,
+    grid_densities, m_set, moment, sample_patterns,
 )
 from .perms import DEFAULT_SEED, Perm, all_densities, mc_chunks, mean_ci99
 
@@ -43,7 +59,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _NINTH = Fraction(1, 9)
 
-EXACT_GRID_LIMIT = 300  # dense rational cell sweep is O(n^2)
+EXACT_GRID_LIMIT = 300  # exact grid integrals; beyond it auto mode samples
 
 
 class AnalysisError(ValueError):
@@ -72,6 +88,44 @@ class Budget:
 
 def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
+
+
+# ---------------------------------------------------------------------------
+# the integrals as 4-point pattern events
+
+
+def _below(p, q) -> bool:
+    return p[0] <= q[0] and p[1] <= q[1]
+
+
+_LEMMA_EVENTS = {
+    "i1": lambda p0, p1, p2, p3: _below(p1, p0) and _below(p2, p0),
+    "i2": lambda p0, p1, p2, p3: (_below(p1, p0) and p2[0] < p0[0]
+                                  and p3[1] < p0[1]),
+    "i3": lambda p0, p1, p2, p3: (_below(p0, (p2[0], p3[1]))
+                                  and _below(p1, (p2[0], p3[1]))),
+}
+
+
+def _event_coefficients(event) -> dict[tuple[int, ...], Fraction]:
+    """c(pi) = share of the 24 labelings of pi's points satisfying event."""
+    out = {}
+    for pi in all_patterns(4):
+        hits = sum(1 for lab in permutations(enumerate(pi)) if event(*lab))
+        if hits:
+            out[pi] = Fraction(hits, 24)
+    return out
+
+
+_LEMMA_COEFFICIENTS = {name: _event_coefficients(event)
+                       for name, event in _LEMMA_EVENTS.items()}
+
+
+def _flat_grid_integrals(mu: GridPermuton) -> tuple[Fraction, ...]:
+    """(i1, i2, i3) as the coefficient vectors applied to t(., mu), |.| = 4."""
+    dens = grid_densities(mu, 4)
+    return tuple(sum(c * dens[pi] for pi, c in _LEMMA_COEFFICIENTS[name].items())
+                 for name in ("i1", "i2", "i3"))
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +244,25 @@ def lemma_integrals(mu: Permuton, budget: Budget | None = None) -> IntegralRepor
     Exact for grid permutons (n <= 300); otherwise i1, i2 by Monte Carlo
     and i3 by the midpoint rule.  mode="mc" forces sampling even on grids,
     including i3, so exact and sampled paths can be compared.
+
+    On a flat grid of a permutation each integral is the probability of a
+    4-point event (i1: P1, P2 <= P0; i2: P1 <= P0, X2 < X0, Y3 < Y0;
+    i3: P0, P1 <= (X2, Y3)), read as sum_pi c(pi) t(pi, mu) from the exact
+    4-pattern densities with coefficients generated by counting the
+    labelings of each pattern that satisfy the event.  Other grids use the
+    exact cell sweep.
     """
     budget = budget or Budget()
     can_exact = isinstance(mu, GridPermuton) and mu.n <= EXACT_GRID_LIMIT
     if budget.mode == "exact" and not can_exact:
         raise AnalysisError("exact integrals need a grid permuton with n <= 300")
     if budget.mode != "mc" and can_exact:
-        g = _grid_cell_integrals(mu)
-        return IntegralReport(g["i1"], g["i2"], g["i3"],
-                              ("exact",) * 3, (0.0, 0.0, 0.0))
+        if mu.permutation is not None:
+            i1, i2, i3 = _flat_grid_integrals(mu)
+        else:
+            g = _grid_cell_integrals(mu)
+            i1, i2, i3 = g["i1"], g["i2"], g["i3"]
+        return IntegralReport(i1, i2, i3, ("exact",) * 3, (0.0, 0.0, 0.0))
     s1, s2 = _child_seeds(budget.seed, 2)
     (i1, c1), (i2, c2) = _mc_f_integrals(mu, budget.samples, s1)
     if budget.mode == "mc":
@@ -229,11 +293,18 @@ class IdentityReport:
 
 
 def identity_check(mu: Permuton, budget: Budget | None = None) -> IdentityReport:
-    """Universal moment identity; the right side is always an exact moment."""
+    """Universal moment identity; the right side is always an exact moment.
+
+    The left side is an exact cell sweep on grids with n <= 300, a Monte
+    Carlo mean otherwise; mode="exact" refuses measures without the sweep.
+    """
     budget = budget or Budget()
+    can_exact = isinstance(mu, GridPermuton) and mu.n <= EXACT_GRID_LIMIT
+    if budget.mode == "exact" and not can_exact:
+        raise AnalysisError(
+            "exact identity check needs a grid permuton with n <= 300")
     rhs = (1 - moment(mu, 2, 0) - moment(mu, 0, 2) + moment(mu, 2, 2)) / 4
-    if isinstance(mu, GridPermuton) and mu.n <= EXACT_GRID_LIMIT \
-            and budget.mode != "mc":
+    if can_exact and budget.mode != "mc":
         lhs = _grid_cell_integrals(mu)["L"]
         return IdentityReport(lhs=lhs, rhs=rhs, error_radius=0.0, exact=True)
     (lhs, ci) = _mc_lambda_integral(mu, budget.samples,

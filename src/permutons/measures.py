@@ -18,7 +18,7 @@ strip masses are exact; sampling and ``cdf_float`` work in floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, permutations
 from typing import Mapping, Sequence
@@ -83,10 +83,15 @@ class GridPermuton(Permuton):
 
     ``cells`` maps (i, j), 1-indexed, to the cell's total mass; mass is
     uniform within each cell.  Every row and column must sum to exactly 1/n.
+    ``_densities`` memoises the exact pattern-density tables of
+    :func:`grid_densities` by pattern length; it takes no part in ``==`` or
+    ``repr``.
     """
 
     n: int
     cells: Mapping[tuple[int, int], Fraction]
+    _densities: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -632,45 +637,71 @@ def _compositions(k: int):
             yield (first,) + rest
 
 
-def density_exact_grid(pi, mu: GridPermuton) -> Fraction:
-    """Exact t(pi, mu) for a grid permuton, k = |pi| <= 4.
+def grid_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
+    """Exact t(pi, mu) for every pattern pi of length k, 1 <= k <= 4, keyed
+    in ``counting.all_patterns(k)`` order.
 
-    Flat grids of a permutation use the block-decomposition formula
-    t(pi, mu_tau) = (k!/n^k) * sum over decompositions of
-    occ(sigma, tau) / prod (m_t!)^2; general grids enumerate cell multisets
-    with the two independent uniform tie-break orders.
+    Flat grids of a permutation tau (n >= 2) use the block-decomposition
+    formula t(pi, mu_tau) = (k!/n^k) * sum over decompositions of
+    occ(sigma, tau) / prod (m_t!)^2, reading each profile(tau, r), r <= k,
+    once.  Other grids make one pass over the cell multisets, with the two
+    independent uniform tie-break orders inside shared rows and columns.
+    The table is built once per (mu, k) and memoised on mu; the caller gets
+    a fresh dict.
     """
+    return dict(_density_table(mu, k))
+
+
+def _density_table(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
+    """The memoised table behind grid_densities (not to be mutated)."""
+    if not isinstance(mu, GridPermuton):
+        raise PermutonError("exact grid densities need a GridPermuton")
+    if not 1 <= k <= 4:
+        raise PermutonError("exact grid densities support k <= 4")
+    table = mu._densities.get(k)
+    if table is None:
+        tau = mu.permutation
+        if tau is not None and mu.n >= 2:
+            table = _flat_densities(tau.images, k)
+        else:
+            table = _multiset_densities(mu, k)
+        mu._densities[k] = table
+    return table
+
+
+def density_exact_grid(pi, mu: GridPermuton) -> Fraction:
+    """Exact t(pi, mu) for a grid permuton, k = |pi| <= 4: one entry of
+    ``grid_densities(mu, k)``."""
     if not isinstance(pi, Perm):
         pi = Perm(tuple(pi))
-    k = len(pi)
-    if k > 4:
+    if len(pi) > 4:
         raise PermutonError("exact grid densities support k <= 4")
-    if not isinstance(mu, GridPermuton):
-        raise PermutonError("density_exact_grid needs a GridPermuton")
-    tau = mu.permutation
-    if tau is not None and mu.n >= 2:
-        n = mu.n
-        profs = {kk: counting.profile(tau.images, kk) for kk in range(1, min(k, n) + 1)}
-        total = Fraction(0)
-        for sigma, sizes in _block_decompositions(pi.images):
+    return _density_table(mu, len(pi))[pi.images]
+
+
+def _flat_densities(tau: tuple[int, ...], k: int) -> dict[tuple[int, ...], Fraction]:
+    n = len(tau)
+    profs = {r: counting.profile(tau, r) for r in range(1, min(k, n) + 1)}
+    scale = Fraction(math.factorial(k), n ** k)
+    table = {}
+    for pi in counting.all_patterns(k):
+        total = _ZERO
+        for sigma, sizes in _block_decompositions(pi):
             r = len(sizes)
             if r > n:
                 continue
-            occ = profs[r][sigma]
             denom = 1
             for m in sizes:
                 denom *= math.factorial(m) ** 2
-            total += Fraction(occ, denom)
-        return total * Fraction(math.factorial(k), n ** k)
-    return _density_grid_multiset(pi, mu)
+            total += Fraction(profs[r][sigma], denom)
+        table[pi] = total * scale
+    return table
 
 
-def _density_grid_multiset(pi: Perm, mu: GridPermuton) -> Fraction:
-    """Cell-multiset oracle: O((#cells + k - 1 choose k) * (k!)^2)."""
-    k = len(pi)
+def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
+    """One pass over the cell multisets: O((#cells + k - 1 choose k) * (k!)^2)."""
     cells = [(c, m) for c, m in sorted(mu.cells.items()) if m > 0]
-    target = pi.images
-    total = Fraction(0)
+    table = {pi: _ZERO for pi in counting.all_patterns(k)}
     kfact = math.factorial(k)
     for multiset in combinations_with_replacement(range(len(cells)), k):
         weight = Fraction(kfact)
@@ -679,28 +710,33 @@ def _density_grid_multiset(pi: Perm, mu: GridPermuton) -> Fraction:
             mult[ci] = mult.get(ci, 0) + 1
         for c_idx, m in mult.items():
             weight = weight * cells[c_idx][1] ** m / math.factorial(m)
-        prob = _pattern_prob_for_cells([cells[ci][0] for ci in multiset], target)
-        total += weight * prob
-    return total
+        tally, combos = _induced_patterns([cells[ci][0] for ci in multiset])
+        for pi, hits in tally.items():
+            table[pi] += weight * Fraction(hits, combos)
+    return table
 
 
-def _pattern_prob_for_cells(coords: list[tuple[int, int]], target) -> Fraction:
-    """P(induced pattern = target) for points in the given cells, with
-    uniform independent tie-break orders inside shared rows and columns."""
+def _density_grid_multiset(pi: Perm, mu: GridPermuton) -> Fraction:
+    """Cell-multiset value of t(pi, mu) on any grid, flat or not."""
+    return _multiset_densities(mu, len(pi))[tuple(pi.images)]
+
+
+def _induced_patterns(coords: list[tuple[int, int]]) -> tuple[dict, int]:
+    """(count per induced pattern, number of tie-break order pairs) for
+    points in the given cells, with uniform independent tie-break orders
+    inside shared rows and columns."""
     k = len(coords)
-    xg = _tie_groups([c[0] for c in coords])
-    yg = _tie_groups([c[1] for c in coords])
-    matches = 0
-    combos = 0
-    for xr in _rank_assignments(xg, k):
-        for yr in _rank_assignments(yg, k):
-            combos += 1
-            induced = [0] * k
+    xs = list(_rank_assignments(_tie_groups([c[0] for c in coords]), k))
+    ys = list(_rank_assignments(_tie_groups([c[1] for c in coords]), k))
+    tally: dict[tuple[int, ...], int] = {}
+    induced = [0] * k
+    for xr in xs:
+        for yr in ys:
             for p in range(k):
                 induced[xr[p] - 1] = yr[p]
-            if tuple(induced) == tuple(target):
-                matches += 1
-    return Fraction(matches, combos)
+            key = tuple(induced)
+            tally[key] = tally.get(key, 0) + 1
+    return tally, len(xs) * len(ys)
 
 
 def _tie_groups(keys: list[int]) -> list[list[int]]:

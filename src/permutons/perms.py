@@ -262,6 +262,9 @@ def all_densities(k: int, tau: Perm) -> DensityReport:
     return DensityReport(k=k, entries=entries, error_radius=0.0)
 
 
+_SUBSET_BLOCK = 1 << 18  # uniforms held at once by density_sampled's small-n draw
+
+
 def density_sampled(
     pi: Perm, tau: Perm, samples: int, seed: int
 ) -> tuple[float, float]:
@@ -278,8 +281,13 @@ def density_sampled(
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
         if n <= 64:
-            # small n: k-subsets as the first k of a random order
-            idx = np.argsort(rng.random((m, n)), axis=1)[:, :k]
+            # small n: k-subsets as the first k of a random order, drawn in
+            # row blocks (the same floats as one (m, n) draw)
+            rows = max(1, _SUBSET_BLOCK // n)
+            idx = np.empty((m, k), dtype=np.int64)
+            for lo in range(0, m, rows):
+                block = rng.random((min(rows, m - lo), n))
+                idx[lo:lo + len(block)] = np.argsort(block, axis=1)[:, :k]
             idx.sort(axis=1)
         else:
             # large n: rejection, redraw rows with repeated indices

@@ -22,8 +22,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import counting
-from .measures import GridPermuton, Permuton, PermutonError, density_exact_grid, \
-    from_perm, pattern_histogram_mc
+from .measures import GridPermuton, Permuton, PermutonError, from_perm, \
+    grid_densities, pattern_histogram_mc
 from .perms import DEFAULT_SEED, Perm, PermError, binomial_ci99
 
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -69,17 +69,10 @@ def symmetry_defect(mu: Permuton, k: int, *, mode: str = "auto",
 
 def _defect_exact(mu: GridPermuton, k: int) -> SymmetryVerdict:
     share = Fraction(1, math.factorial(k))
-    dens: dict[tuple[int, ...], Fraction] = {}
-    best = Fraction(-1)
-    witness = None
-    for pat in counting.all_patterns(k):
-        v = density_exact_grid(pat, mu)
-        dens[pat] = v
-        dev = abs(v - share)
-        if dev > best:
-            best, witness = dev, pat
-    return SymmetryVerdict(k=k, defect=best, witness=witness, exact=True,
-                           densities=dens)
+    dens = grid_densities(mu, k)
+    witness = max(dens, key=lambda pat: abs(dens[pat] - share))
+    return SymmetryVerdict(k=k, defect=abs(dens[witness] - share),
+                           witness=witness, exact=True, densities=dens)
 
 
 def _defect_mc(mu: Permuton, k: int, samples: int, seed: int) -> SymmetryVerdict:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from permutons import Perm
@@ -116,6 +118,14 @@ def test_integrals_chain_identity(capsys, grid_file):
     assert code == 0 and "slack[marginal] = 0" in out
     code, out, _ = run(capsys, "identity", grid_file)
     assert code == 0 and "pass = True" in out
+
+
+def test_identity_exact_mode_without_exact_path_is_an_error(capsys):
+    fixture = str(Path(__file__).parent / "fixtures" / "diagonals.permuton")
+    code, out, err = run(capsys, "identity", fixture, "--mode", "exact",
+                         "--samples", "1000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "exact" in err
 
 
 def test_find_b_cli(capsys):

@@ -1,0 +1,255 @@
+"""The exact grid density table and the integrals read from it."""
+
+import functools
+import itertools
+import math
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from permutons import (
+    AnalysisError, Budget, GridPermuton, Perm, PermutonError, all_patterns,
+    cs_chain, density_exact_grid, from_perm, grid_densities, identity_check,
+    lemma_integrals, m_set, symmetry_defect, uniform,
+)
+from permutons import analysis, counting
+from permutons.analysis import _LEMMA_COEFFICIENTS, _grid_cell_integrals
+
+from conftest import random_perm
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-target cell-multiset loop
+
+
+def _rank_vectors(keys: list[int]):
+    """Every rank vector of the keys: equal keys take a consecutive rank
+    block in key order, each internal order equally likely."""
+    k = len(keys)
+    groups: dict[int, list[int]] = {}
+    for idx, key in enumerate(keys):
+        groups.setdefault(key, []).append(idx)
+    spans, start = [], 1
+    for key in sorted(groups):
+        spans.append((groups[key], start))
+        start += len(groups[key])
+    for orders in itertools.product(
+            *(itertools.permutations(range(len(g))) for g, _ in spans)):
+        ranks = [0] * k
+        for (g, s), order in zip(spans, orders):
+            for idx, o in zip(g, order):
+                ranks[idx] = s + o
+        yield ranks
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_prob(xkeys: tuple, ykeys: tuple, target: tuple) -> Fraction:
+    """P(induced pattern = target) for points with these row and column
+    keys, with uniform independent tie-break orders inside equal keys."""
+    k = len(xkeys)
+    matches = combos = 0
+    for xr in _rank_vectors(list(xkeys)):
+        for yr in _rank_vectors(list(ykeys)):
+            combos += 1
+            induced = [0] * k
+            for p in range(k):
+                induced[xr[p] - 1] = yr[p]
+            matches += tuple(induced) == target
+    return F(matches, combos)
+
+
+def _dense(keys) -> tuple:
+    """The keys' order type: dense ranks, ties kept (the cache key)."""
+    levels = sorted(set(keys))
+    return tuple(levels.index(key) for key in keys)
+
+
+def _oracle_table(mu: GridPermuton, k: int) -> dict:
+    """t(pi, mu) for each pattern pi of length k, one match loop per pi."""
+    cells = [(c, m) for c, m in sorted(mu.cells.items()) if m > 0]
+    table = {pi: F(0) for pi in all_patterns(k)}
+    for multiset in itertools.combinations_with_replacement(range(len(cells)), k):
+        weight = F(math.factorial(k))
+        for c_idx, m in Counter(multiset).items():
+            weight *= cells[c_idx][1] ** m / math.factorial(m)
+        coords = [cells[ci][0] for ci in multiset]
+        xkeys = _dense([c[0] for c in coords])
+        ykeys = _dense([c[1] for c in coords])
+        for pi in table:
+            table[pi] += weight * _pattern_prob(xkeys, ykeys, pi)
+    return table
+
+
+def _average_grid(rng, m: int, parts: int) -> GridPermuton:
+    """Mean of `parts` random m x m permutation grids (cells may merge),
+    redrawn until it is not itself a permutation grid."""
+    while True:
+        cells: dict = {}
+        for _ in range(parts):
+            for i, v in enumerate(random_perm(rng, m), start=1):
+                cells[(i, v)] = cells.get((i, v), F(0)) + F(1, parts * m)
+        mu = GridPermuton(m, cells)
+        if mu.permutation is None:
+            return mu
+
+
+# ---------------------------------------------------------------------------
+# the table
+
+
+def test_table_matches_oracle_on_every_flat_grid():
+    for n in range(1, 6):
+        for tau in itertools.permutations(range(1, n + 1)):
+            mu = from_perm(Perm(tau))
+            for k in range(1, 5):
+                table = grid_densities(mu, k)
+                assert list(table) == all_patterns(k)
+                assert table == _oracle_table(mu, k), (tau, k)
+
+
+def test_table_matches_oracle_on_nonpermutation_grids():
+    rng = np.random.default_rng(7)
+    grids = [uniform(), GridPermuton(2, {(1, 1): F(1, 4), (1, 2): F(1, 4),
+                                         (2, 1): F(1, 4), (2, 2): F(1, 4)})]
+    grids += [_average_grid(rng, m, parts) for m, parts in
+              ((2, 2), (3, 2), (3, 3), (4, 2))]
+    for mu in grids:
+        assert mu.permutation is None or mu.n == 1
+        for k in range(1, 5):
+            table = grid_densities(mu, k)
+            assert sum(table.values()) == 1
+            assert table == _oracle_table(mu, k), (mu, k)
+
+
+def test_density_exact_grid_is_a_table_lookup():
+    rng = np.random.default_rng(3)
+    mu = from_perm(random_perm(rng, 9))
+    for k in range(1, 5):
+        table = grid_densities(mu, k)
+        for p in all_patterns(k):
+            assert density_exact_grid(p, mu) == table[p]
+            assert density_exact_grid(Perm(p), mu) == table[p]
+
+
+def test_table_refuses_bad_arguments():
+    for k in (0, 5):
+        with pytest.raises(PermutonError):
+            grid_densities(uniform(), k)
+    with pytest.raises(PermutonError):
+        grid_densities(m_set(F(1, 2)), 3)
+    with pytest.raises(PermutonError):
+        density_exact_grid((1, 2), m_set(F(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the memo
+
+
+def test_memo_leaves_equality_and_repr_alone():
+    tau = Perm((2, 4, 1, 3))
+    fresh, filled = from_perm(tau), from_perm(tau)
+    before = repr(filled)
+    for k in range(1, 5):
+        grid_densities(filled, k)
+    assert filled == fresh
+    assert repr(filled) == before == repr(fresh)
+    assert "densities" not in repr(filled)
+
+
+def test_returned_table_is_a_copy():
+    mu = from_perm(Perm((3, 1, 4, 2, 5)))
+    first = grid_densities(mu, 4)
+    want = dict(first)
+    first[(1, 2, 3, 4)] = F(7)
+    first.clear()
+    assert grid_densities(mu, 4) == want
+    assert symmetry_defect(mu, 4).densities == want
+    verdict = symmetry_defect(mu, 4)
+    verdict.densities.clear()
+    assert grid_densities(mu, 4) == want
+
+
+def test_symmetry_defect_builds_each_profile_once(monkeypatch):
+    calls = Counter()
+    real = counting.profile
+
+    def counted(tau, k):
+        calls[k] += 1
+        return real(tau, k)
+
+    monkeypatch.setattr(counting, "profile", counted)
+    mu = from_perm(random_perm(np.random.default_rng(11), 12))
+    verdict = symmetry_defect(mu, 4)
+    assert calls == {1: 1, 2: 1, 3: 1, 4: 1}
+    # the lemma integrals and the chain read the same k = 4 table
+    lemma_integrals(mu)
+    cs_chain(mu)
+    symmetry_defect(mu, 4)
+    assert calls == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert not verdict.symmetric
+
+
+# ---------------------------------------------------------------------------
+# the lemma integrals as pattern events
+
+
+def test_generated_coefficients():
+    i1 = _LEMMA_COEFFICIENTS["i1"]
+    assert i1[(1, 2, 3, 4)] == i1[(2, 1, 3, 4)] == F(1, 3)
+    for name in ("i1", "i2", "i3"):
+        coef = _LEMMA_COEFFICIENTS[name]
+        assert set(coef) <= set(all_patterns(4))
+        assert all(0 < c <= 1 and (24 * c).denominator == 1
+                   for c in coef.values())
+        assert sum(coef.values()) / 24 == F(1, 9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 40, 120])
+def test_density_integrals_equal_cell_sweep(n):
+    tau = random_perm(np.random.default_rng(100 + n), n)
+    rep = lemma_integrals(from_perm(tau))
+    sweep = _grid_cell_integrals(from_perm(tau))
+    assert rep.methods == ("exact",) * 3
+    assert (rep.i1, rep.i2, rep.i3) == (sweep["i1"], sweep["i2"], sweep["i3"])
+    assert all(isinstance(v, Fraction) for v in (rep.i1, rep.i2, rep.i3))
+
+
+def test_density_integrals_on_uniform():
+    rep = lemma_integrals(uniform())
+    sweep = _grid_cell_integrals(uniform())
+    assert (rep.i1, rep.i2, rep.i3) == (sweep["i1"], sweep["i2"], sweep["i3"]) \
+        == (F(1, 9),) * 3
+
+
+def test_flat_grids_skip_the_cell_sweep(monkeypatch):
+    def refuse(mu):
+        raise AssertionError("cell sweep on a flat grid")
+
+    monkeypatch.setattr(analysis, "_grid_cell_integrals", refuse)
+    mu = from_perm(Perm((2, 5, 3, 1, 4)))
+    assert lemma_integrals(mu).exact
+    assert cs_chain(mu).integrals.exact
+
+
+def test_nonpermutation_grids_keep_the_cell_sweep():
+    mu = _average_grid(np.random.default_rng(4), 4, 2)
+    rep = lemma_integrals(mu)
+    sweep = _grid_cell_integrals(mu)
+    assert (rep.i1, rep.i2, rep.i3) == (sweep["i1"], sweep["i2"], sweep["i3"])
+
+
+# ---------------------------------------------------------------------------
+# identity_check under mode="exact"
+
+
+def test_identity_exact_mode_refuses_without_exact_path():
+    with pytest.raises(AnalysisError):
+        identity_check(m_set(0), Budget(mode="exact", samples=1000))
+    big = from_perm(random_perm(np.random.default_rng(8), 301))
+    with pytest.raises(AnalysisError):
+        identity_check(big, Budget(mode="exact", samples=1000))
+    assert identity_check(from_perm(Perm((2, 1))), Budget(mode="exact")).exact

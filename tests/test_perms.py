@@ -1,5 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -133,3 +136,32 @@ def test_density_sampled_reproducible():
     a = density_sampled(pi, tau, 10_000, seed=77)
     b = density_sampled(pi, tau, 10_000, seed=77)
     assert a == b
+
+
+def _one_draw_density(pi, tau, samples, seed):
+    """The small-n draw as one (samples, n) matrix of uniforms."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    idx = np.argsort(rng.random((samples, len(tau))), axis=1)[:, :len(pi)]
+    idx.sort(axis=1)
+    ranks = counting.row_ranks(np.asarray(tau.images)[idx])
+    return int(np.all(ranks == np.asarray(pi.images), axis=1).sum()) / samples
+
+
+def test_density_sampled_row_blocks_keep_the_stream():
+    # at n = 64 a block holds 4,096 rows, so 10,000 samples span three
+    tau = Perm(tuple(int(v) + 1 for v in np.random.default_rng(2).permutation(64)))
+    for pi in (Perm((1, 3, 2)), Perm((2, 1, 4, 3))):
+        est, _ = density_sampled(pi, tau, 10_000, seed=31)
+        assert est == _one_draw_density(pi, tau, 10_000, 31)
+
+
+def test_density_sampled_small_n_memory_is_bounded():
+    # one (samples, n) draw would hold 2 x 51 MB here
+    tau = Perm(tuple(int(v) + 1 for v in np.random.default_rng(4).permutation(64)))
+    tracemalloc.start()
+    try:
+        density_sampled(Perm((1, 3, 2)), tau, 100_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
