@@ -90,6 +90,17 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
+def _exact_grid_path(mu: Permuton, budget: Budget, refusal: str) -> bool:
+    """Whether mu takes an exact grid path under budget: a grid with n <=
+    EXACT_GRID_LIMIT and mode not "mc".  mode="exact" on any other measure
+    raises ``refusal`` plus the grid condition."""
+    can_exact = isinstance(mu, GridPermuton) and mu.n <= EXACT_GRID_LIMIT
+    if budget.mode == "exact" and not can_exact:
+        raise AnalysisError(
+            f"{refusal} a grid permuton with n <= {EXACT_GRID_LIMIT}")
+    return can_exact and budget.mode != "mc"
+
+
 # ---------------------------------------------------------------------------
 # the integrals as 4-point pattern events
 
@@ -173,15 +184,7 @@ def _grid_cell_integrals(mu: GridPermuton) -> dict[str, Fraction]:
             i2 += D * bracket
             L += bracket
     n2 = Fraction(1, n * n)
-    return {
-        "i1": i1,
-        "i2": i2 * n2,
-        "i3": i3 * n2,
-        "L": L * n2 * n2,
-        "m20": moment(mu, 2, 0),
-        "m02": moment(mu, 0, 2),
-        "m22": moment(mu, 2, 2),
-    }
+    return {"i1": i1, "i2": i2 * n2, "i3": i3 * n2, "L": L * n2 * n2}
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +256,7 @@ def lemma_integrals(mu: Permuton, budget: Budget | None = None) -> IntegralRepor
     exact cell sweep.
     """
     budget = budget or Budget()
-    can_exact = isinstance(mu, GridPermuton) and mu.n <= EXACT_GRID_LIMIT
-    if budget.mode == "exact" and not can_exact:
-        raise AnalysisError("exact integrals need a grid permuton with n <= 300")
-    if budget.mode != "mc" and can_exact:
+    if _exact_grid_path(mu, budget, "exact integrals need"):
         if mu.permutation is not None:
             i1, i2, i3 = _flat_grid_integrals(mu)
         else:
@@ -299,12 +299,9 @@ def identity_check(mu: Permuton, budget: Budget | None = None) -> IdentityReport
     Carlo mean otherwise; mode="exact" refuses measures without the sweep.
     """
     budget = budget or Budget()
-    can_exact = isinstance(mu, GridPermuton) and mu.n <= EXACT_GRID_LIMIT
-    if budget.mode == "exact" and not can_exact:
-        raise AnalysisError(
-            "exact identity check needs a grid permuton with n <= 300")
+    exact = _exact_grid_path(mu, budget, "exact identity check needs")
     rhs = (1 - moment(mu, 2, 0) - moment(mu, 0, 2) + moment(mu, 2, 2)) / 4
-    if can_exact and budget.mode != "mc":
+    if exact:
         lhs = _grid_cell_integrals(mu)["L"]
         return IdentityReport(lhs=lhs, rhs=rhs, error_radius=0.0, exact=True)
     (lhs, ci) = _mc_lambda_integral(mu, budget.samples,

@@ -233,8 +233,8 @@ def _run_permuton_density(args) -> list[str]:
     mu = _read_permuton(args.permuton)
     mode = args.mode
     if mode is None:
-        mode = "exact" if isinstance(mu, measures.GridPermuton) and len(pi) <= 4 \
-            else "mc"
+        mode = "exact" if isinstance(mu, measures.GridPermuton) \
+            and len(pi) <= measures.GRID_EXACT_MAX_K else "mc"
     if mode == "exact":
         t = measures.density_exact_grid(pi, mu)
         return [f"t = {_fmt(t)}", "mode = exact"]

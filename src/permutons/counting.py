@@ -10,9 +10,10 @@ paths must agree with it exactly.
 
 All counts are Python ints (the numpy accumulators stay below 2^63 for
 n <= 10^4: the largest intermediate is bounded by n * C(n, 3) < 2^61).
-k = 4 profiles beyond n = PROFILE4_MAX_N = 10^4 and k = 3 profiles beyond
-n = PROFILE3_MAX_N = 3 * 10^6 (C(n, 3) passes 2^63 near 3.8 * 10^6) are
-refused.
+``_check_exact_size`` is the one table of the sizes the engines take:
+k <= 6, |tau| <= 60 for k = 5, 6, PROFILE4_MAX_N = 10^4 for k = 4 and
+PROFILE3_MAX_N = 3 * 10^6 for k = 3 (C(n, 3) passes 2^63 near 3.8 * 10^6).
+Larger requests are refused with ``PermError`` before any work.
 """
 
 from __future__ import annotations
@@ -27,6 +28,21 @@ Pattern = Tuple[int, ...]
 
 PROFILE3_MAX_N = 3_000_000
 PROFILE4_MAX_N = 10_000
+
+
+class PermError(ValueError):
+    """Invalid permutation input or out-of-range argument."""
+
+
+def _check_exact_size(k: int, n: int) -> None:
+    """Refuse the (k, n) that the exact counting engines do not take."""
+    if not 1 <= k <= n:
+        raise PermError(f"k = {k} out of range 1..{n}")
+    if k > 6:
+        raise PermError("exact profiles support k <= 6")
+    limit = {3: PROFILE3_MAX_N, 4: PROFILE4_MAX_N, 5: 60, 6: 60}.get(k, n)  # k <= 2: none
+    if n > limit:
+        raise PermError(f"k = {k} exact profiles limited to |tau| <= {limit}")
 
 
 def pattern_of(values: Sequence[int]) -> Pattern:
@@ -360,28 +376,16 @@ def _profile_enum(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
 
 def profile(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
     """Occurrence count of every length-k pattern in tau."""
-    n = len(tau)
-    if not 1 <= k <= n:
-        raise ValueError(f"k = {k} out of range 1..{n}")
+    _check_exact_size(k, len(tau))
     if k == 1:
         return _profile1(tau)
     if k == 2:
         return _profile2(tau)
     if k == 3:
-        if n > PROFILE3_MAX_N:
-            raise ValueError(f"k = 3 exact profiles limited to |tau| <= "
-                             f"{PROFILE3_MAX_N} (int64 accumulators)")
         return _profile3(tau)
     if k == 4:
-        if n > PROFILE4_MAX_N:
-            raise ValueError(f"k = 4 exact profiles limited to |tau| <= "
-                             f"{PROFILE4_MAX_N} (int64 accumulators)")
         return _profile4(tau)
-    if k in (5, 6):
-        if n > 60:
-            raise ValueError("k = 5, 6 exact profiles limited to |tau| <= 60")
-        return _profile_enum(tau, k)
-    raise ValueError("exact profiles support k <= 6")
+    return _profile_enum(tau, k)
 
 
 def occurrences(pattern: Pattern, tau: Sequence[int]) -> int:

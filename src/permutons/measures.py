@@ -31,6 +31,7 @@ from .perms import Perm, mc_chunks, mc_hits
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _CDF_BLOCK = 1 << 18  # entries of the grid CDF table held at once
+GRID_EXACT_MAX_K = 4  # longest pattern with exact grid densities
 
 
 class PermutonError(ValueError):
@@ -637,15 +638,39 @@ def _compositions(k: int):
             yield (first,) + rest
 
 
+def _flat_terms(pi: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """(r, sigma, w) per block decomposition of pi, w = (k!)^2 / prod (m_t!)^2."""
+    square = math.factorial(len(pi)) ** 2
+    return tuple((len(sizes), sigma,
+                  square // math.prod(math.factorial(m) ** 2 for m in sizes))
+                 for sigma, sizes in _block_decompositions(pi))
+
+
+# The flat-grid formula as integer terms: for the flat grid of tau (n >= 2),
+# t(pi, mu_tau) = sum of w * occ_r(sigma, tau) over FLAT_TERMS[k][pi],
+# divided by k! n^k.
+FLAT_TERMS = {k: {pi: _flat_terms(pi) for pi in counting.all_patterns(k)}
+              for k in range(1, GRID_EXACT_MAX_K + 1)}
+
+
+def _flat_sums(profiles: Mapping, k: int) -> dict:
+    """Sum of w * occ_r(sigma) over FLAT_TERMS[k][pi] for each pi, where
+    profiles[r][sigma] is occ_r(sigma), an int or an array of ints; lengths
+    r missing from profiles count zero."""
+    return {pi: sum(w * profiles[r][sigma] for r, sigma, w in terms if r in profiles)
+            for pi, terms in FLAT_TERMS[k].items()}
+
+
 def grid_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact t(pi, mu) for every pattern pi of length k, 1 <= k <= 4, keyed
-    in ``counting.all_patterns(k)`` order.
+    """Exact t(pi, mu) for every pattern pi of length k, 1 <= k <=
+    GRID_EXACT_MAX_K = 4, keyed in ``counting.all_patterns(k)`` order.
 
     Flat grids of a permutation tau (n >= 2) use the block-decomposition
     formula t(pi, mu_tau) = (k!/n^k) * sum over decompositions of
-    occ(sigma, tau) / prod (m_t!)^2, reading each profile(tau, r), r <= k,
-    once.  Other grids make one pass over the cell multisets, with the two
-    independent uniform tie-break orders inside shared rows and columns.
+    occ(sigma, tau) / prod (m_t!)^2, read from the integer terms in
+    ``FLAT_TERMS`` and each profile(tau, r), r <= k, once.  Other grids
+    make one pass over the cell multisets, with the two independent
+    uniform tie-break orders inside shared rows and columns.
     The table is built once per (mu, k) and memoised on mu; the caller gets
     a fresh dict.
     """
@@ -656,8 +681,8 @@ def _density_table(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
     """The memoised table behind grid_densities (not to be mutated)."""
     if not isinstance(mu, GridPermuton):
         raise PermutonError("exact grid densities need a GridPermuton")
-    if not 1 <= k <= 4:
-        raise PermutonError("exact grid densities support k <= 4")
+    if not 1 <= k <= GRID_EXACT_MAX_K:
+        raise PermutonError(f"exact grid densities support k <= {GRID_EXACT_MAX_K}")
     table = mu._densities.get(k)
     if table is None:
         tau = mu.permutation
@@ -670,32 +695,18 @@ def _density_table(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
 
 
 def density_exact_grid(pi, mu: GridPermuton) -> Fraction:
-    """Exact t(pi, mu) for a grid permuton, k = |pi| <= 4: one entry of
-    ``grid_densities(mu, k)``."""
+    """Exact t(pi, mu) for a grid permuton, k = |pi| <= GRID_EXACT_MAX_K:
+    one entry of ``grid_densities(mu, k)``."""
     if not isinstance(pi, Perm):
         pi = Perm(tuple(pi))
-    if len(pi) > 4:
-        raise PermutonError("exact grid densities support k <= 4")
     return _density_table(mu, len(pi))[pi.images]
 
 
 def _flat_densities(tau: tuple[int, ...], k: int) -> dict[tuple[int, ...], Fraction]:
     n = len(tau)
     profs = {r: counting.profile(tau, r) for r in range(1, min(k, n) + 1)}
-    scale = Fraction(math.factorial(k), n ** k)
-    table = {}
-    for pi in counting.all_patterns(k):
-        total = _ZERO
-        for sigma, sizes in _block_decompositions(pi):
-            r = len(sizes)
-            if r > n:
-                continue
-            denom = 1
-            for m in sizes:
-                denom *= math.factorial(m) ** 2
-            total += Fraction(profs[r][sigma], denom)
-        table[pi] = total * scale
-    return table
+    denom = math.factorial(k) * n ** k
+    return {pi: Fraction(total, denom) for pi, total in _flat_sums(profs, k).items()}
 
 
 def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:

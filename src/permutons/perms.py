@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import counting
+from .counting import PermError
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 DEFAULT_SEED = 20130409  # documented default; bare runs are reproducible
@@ -56,10 +57,6 @@ def mc_hits(draw: Callable[[np.random.Generator, int], np.ndarray],
     booleans of one chunk of trials."""
     hits = sum(int(draw(rng, m).sum()) for rng, m in mc_chunks(samples, seed))
     return hits / samples, binomial_ci99(hits, samples)
-
-
-class PermError(ValueError):
-    """Invalid permutation input or out-of-range argument."""
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ class DensityReport:
 
     ``entries`` maps each pattern of length ``k`` to its density, exact
     Fractions on the exact path and floats on the sampled path.  ``defect``
-    is the maximum deviation from the symmetric value 1/k!.
+    and ``witness`` follow :func:`defect_witness`.
     """
 
     k: int
@@ -207,27 +204,20 @@ class DensityReport:
 
     @property
     def defect(self) -> Fraction | float:
-        target = Fraction(1, math.factorial(self.k))
-        return max(abs(v - target) for v in self.entries.values())
+        return defect_witness(self.entries, self.k)[0]
 
     @property
     def witness(self) -> Perm:
-        target = Fraction(1, math.factorial(self.k))
-        return max(self.entries, key=lambda p: abs(self.entries[p] - target))
+        return defect_witness(self.entries, self.k)[1]
 
 
-def _check_exact_size(k: int, n: int) -> None:
-    """Refuse the sizes the exact counting engines do not take."""
-    if k > 6:
-        raise PermError("exact path supports k <= 6")
-    if k >= 5 and n > 60:
-        raise PermError("k = 5, 6 exact densities limited to |tau| <= 60")
-    if k == 4 and n > counting.PROFILE4_MAX_N:
-        raise PermError(f"k = 4 exact densities limited to |tau| <= "
-                        f"{counting.PROFILE4_MAX_N}")
-    if k == 3 and n > counting.PROFILE3_MAX_N:
-        raise PermError(f"k = 3 exact densities limited to |tau| <= "
-                        f"{counting.PROFILE3_MAX_N}")
+def defect_witness(densities: Mapping, k: int) -> tuple:
+    """(max |t - 1/k!|, the first pattern attaining it) over a density table
+    of length-k patterns, in the table's order.  Exact Fractions give a
+    Fraction defect, floats a float."""
+    target = Fraction(1, math.factorial(k))
+    witness = max(densities, key=lambda p: abs(densities[p] - target))
+    return abs(densities[witness] - target), witness
 
 
 def density_exact(pi: Perm, tau: Perm) -> Fraction:
@@ -239,7 +229,6 @@ def density_exact(pi: Perm, tau: Perm) -> Fraction:
     k, n = len(pi), len(tau)
     if k > n:
         raise PermError(f"pattern length {k} exceeds |tau| = {n}")
-    _check_exact_size(k, n)
     occ = counting.occurrences(pi.images, tau.images)
     return Fraction(occ, math.comb(n, k))
 
@@ -248,14 +237,10 @@ def all_densities(k: int, tau: Perm) -> DensityReport:
     """Exact densities of every pattern of length k in tau.
 
     Subquartic counting for k <= 4; subset enumeration for k in {5, 6}
-    (restricted to |tau| <= 60).
+    (restricted to |tau| <= 60).  ``counting.profile`` refuses other sizes.
     """
-    n = len(tau)
-    if not 1 <= k <= n:
-        raise PermError(f"k = {k} out of range 1..{n}")
-    _check_exact_size(k, n)
     prof = counting.profile(tau.images, k)
-    denom = math.comb(n, k)
+    denom = math.comb(len(tau), k)
     entries: dict[Perm, Fraction | float] = {
         Perm(p): Fraction(c, denom) for p, c in prof.items()
     }

@@ -67,7 +67,7 @@ def _num(tok: str) -> Fraction:
         if "." in tok or "e" in tok or "E" in tok:
             return Fraction(float(tok))
         return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise PermutonError(f"bad number {tok!r}") from exc
 
 
@@ -151,7 +151,10 @@ def _parse_grid(body: list[str]) -> GridPermuton:
     toks = body[0].split()
     if len(toks) != 2:
         raise PermutonError("grid needs 'n <size>' first")
-    n = int(toks[1])
+    try:
+        n = int(toks[1])
+    except ValueError:
+        raise PermutonError(f"grid size {toks[1]!r} is not an integer") from None
     rows = body[1:]
     if len(rows) != n:
         raise PermutonError(f"grid expects {n} mass rows, got {len(rows)}")

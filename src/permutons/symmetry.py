@@ -5,10 +5,12 @@ A permuton is k-symmetric when every length-k pattern has density exactly
 measure is k-symmetric; that verdict is exact rational arithmetic, never a
 float comparison.
 
-The S_n search evaluates the six length-3 grid densities through integer
-occurrence counts: t(pi, mu_tau) = 1/6 for all pi is equivalent to six
-integer equalities (see _score_hits), so the sweep runs entirely in int64
-numpy batches.
+Verdicts read the exact grid density tables of ``measures`` (k <= 4) or
+Monte Carlo histograms, and take their defect and witness from
+``perms.defect_witness``.  The S_n search scores each candidate with the
+flat-grid formula's integer terms, ``measures.FLAT_TERMS[3]``: t(pi, mu_tau)
+= 1/6 for all six pi exactly when every sum of w * occ_r(sigma) equals n^3,
+so the sweep runs entirely in int64 numpy batches.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import counting
-from .measures import GridPermuton, Permuton, PermutonError, from_perm, \
-    grid_densities, pattern_histogram_mc
-from .perms import DEFAULT_SEED, Perm, PermError, binomial_ci99
+from .measures import GRID_EXACT_MAX_K, GridPermuton, Permuton, PermutonError, \
+    _flat_sums, from_perm, grid_densities, pattern_histogram_mc
+from .perms import DEFAULT_SEED, Perm, binomial_ci99, defect_witness
 
 DEFAULT_MC_SAMPLES = 1_000_000
 
@@ -51,45 +53,36 @@ def symmetry_defect(mu: Permuton, k: int, *, mode: str = "auto",
                     seed: int = DEFAULT_SEED) -> SymmetryVerdict:
     """Verdict for mu at order k.
 
-    Grid permutons with k <= 4 get exact Rational verdicts; anything else
-    (other measures, or k = 5, 6) is estimated by Monte Carlo with a
-    per-pattern 99% half-width.
+    Grid permutons with k <= GRID_EXACT_MAX_K = 4 get exact Rational
+    verdicts; anything else (other measures, or k = 5, 6) is estimated by
+    Monte Carlo with a per-pattern 99% half-width.
     """
     if not 1 <= k <= 6:
         raise PermutonError("symmetry defect supports 1 <= k <= 6")
     if mode not in ("auto", "exact", "mc"):
         raise PermutonError(f"unknown mode {mode!r}")
-    can_exact = isinstance(mu, GridPermuton) and k <= 4
+    can_exact = isinstance(mu, GridPermuton) and k <= GRID_EXACT_MAX_K
     if mode == "exact" and not can_exact:
-        raise PermutonError("exact verdicts need a grid permuton and k <= 4")
+        raise PermutonError(
+            f"exact verdicts need a grid permuton and k <= {GRID_EXACT_MAX_K}")
     if mode == "exact" or (mode == "auto" and can_exact):
         return _defect_exact(mu, k)
     return _defect_mc(mu, k, samples, seed)
 
 
 def _defect_exact(mu: GridPermuton, k: int) -> SymmetryVerdict:
-    share = Fraction(1, math.factorial(k))
     dens = grid_densities(mu, k)
-    witness = max(dens, key=lambda pat: abs(dens[pat] - share))
-    return SymmetryVerdict(k=k, defect=abs(dens[witness] - share),
-                           witness=witness, exact=True, densities=dens)
+    defect, witness = defect_witness(dens, k)
+    return SymmetryVerdict(k=k, defect=defect, witness=witness, exact=True,
+                           densities=dens)
 
 
 def _defect_mc(mu: Permuton, k: int, samples: int, seed: int) -> SymmetryVerdict:
-    share = 1.0 / math.factorial(k)
     hist = pattern_histogram_mc(mu, k, samples, seed)
-    dens: dict[tuple[int, ...], float] = {}
-    best = -1.0
-    witness = None
-    worst_ci = 0.0
-    for pat, cnt in hist.items():
-        est = cnt / samples
-        dens[pat] = est
-        worst_ci = max(worst_ci, binomial_ci99(cnt, samples))
-        dev = abs(est - share)
-        if dev > best:
-            best, witness = dev, pat
-    return SymmetryVerdict(k=k, defect=best, witness=witness, exact=False,
+    dens = {pat: cnt / samples for pat, cnt in hist.items()}
+    defect, witness = defect_witness(dens, k)
+    worst_ci = max(binomial_ci99(cnt, samples) for cnt in hist.values())
+    return SymmetryVerdict(k=k, defect=defect, witness=witness, exact=False,
                            densities=dens, error_radius=worst_ci, samples=samples)
 
 
@@ -97,8 +90,9 @@ def is_inflatable(tau, k: int) -> tuple[bool, SymmetryVerdict]:
     """(|tau| > 1 and mu_tau is exactly k-symmetric, verdict)."""
     if not isinstance(tau, Perm):
         tau = Perm(tuple(tau))
-    if not 1 <= k <= 4:
-        raise PermutonError("inflatability testing supports 1 <= k <= 4")
+    if not 1 <= k <= GRID_EXACT_MAX_K:
+        raise PermutonError(
+            f"inflatability testing supports 1 <= k <= {GRID_EXACT_MAX_K}")
     verdict = _defect_exact(from_perm(tau), k)
     return len(tau) > 1 and verdict.defect == 0, verdict
 
@@ -134,25 +128,19 @@ def _perm_chunks(n: int) -> Iterable[np.ndarray]:
 
 
 def _score_hits(v: np.ndarray) -> np.ndarray:
-    """Rows whose flat grid measure is exactly 3-symmetric.
-
-    t(pi, mu_tau) = 1/6 for all six patterns reduces to the integer
-    equalities 36*occ_pi + corr_pi = n^3 with corr terms 18*occ12 + n for
-    123, 9*occ12 + n for 132/213, 9*occ21 + n for 231/312, 18*occ21 + n
-    for 321 (block decompositions of length <= 3).
-    """
+    """Rows whose flat grid measure is exactly 3-symmetric.  Each pattern's
+    FLAT_TERMS[3] sum S gives t(pi, mu_tau) = S / (3! n^3), so t = 1/6 for
+    all six pi exactly when every S equals n^3.  Rows take values 0..n-1 or
+    1..n."""
     n = v.shape[1]
     a = np.tril(v[:, None, :] < v[:, :, None], -1).sum(2)  # [r, j]: i < j, v_i < v_j
-    c123, c132, c213, c231, c312, c321 = counting.three_counts(v, a)
     occ12 = a.sum(1)
-    occ21 = math.comb(n, 2) - occ12
-    target = n ** 3
-    ok = (36 * c123 + 18 * occ12 + n == target)
-    ok &= (36 * c132 + 9 * occ12 + n == target)
-    ok &= (36 * c213 + 9 * occ12 + n == target)
-    ok &= (36 * c231 + 9 * occ21 + n == target)
-    ok &= (36 * c312 + 9 * occ21 + n == target)
-    ok &= (36 * c321 + 18 * occ21 + n == target)
+    profiles = {1: {(1,): n},
+                2: {(1, 2): occ12, (2, 1): math.comb(n, 2) - occ12},
+                3: dict(zip(counting.all_patterns(3), counting.three_counts(v, a)))}
+    ok = np.ones(len(v), dtype=bool)
+    for total in _flat_sums(profiles, 3).values():
+        ok &= total == n ** 3
     return ok
 
 

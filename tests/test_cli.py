@@ -210,3 +210,18 @@ def test_negative_seed_is_a_validation_error(capsys, mset_file, argv):
                          "--seed", "-3")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "non-negative" in err
+
+
+@pytest.mark.parametrize("text", [
+    "type grid\nn two\nmass 1\n",
+    "type m_set\na 1e400\n",
+    "type segments\nsegment 0 0 1e999 1\n",
+])
+def test_malformed_permuton_file_is_a_validation_error(capsys, tmp_path, text):
+    bad = tmp_path / "bad.permuton"
+    bad.write_text(text)
+    out = tmp_path / "never.txt"
+    code, stdout, err = run(capsys, "symmetry", str(bad), "3", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ")
+    assert not out.exists()

@@ -11,7 +11,9 @@ from permutons import (
     all_patterns, inversions, left_smaller_counts, occurrences,
     occurrences_naive, pattern_of, profile, profile_naive,
 )
-from permutons.counting import PROFILE3_MAX_N, PROFILE4_MAX_N, three_counts
+from permutons.counting import (
+    PROFILE3_MAX_N, PROFILE4_MAX_N, PermError, _check_exact_size, three_counts,
+)
 
 
 def test_pattern_of():
@@ -143,3 +145,29 @@ def test_profile3_refuses_beyond_int64_safe_range():
     # the guard runs before any work: a range is never materialised
     with pytest.raises(ValueError, match=str(PROFILE3_MAX_N)):
         profile(range(1, PROFILE3_MAX_N + 2), 3)
+
+
+@pytest.mark.parametrize("k, largest", [
+    (1, None), (2, None), (3, PROFILE3_MAX_N), (4, PROFILE4_MAX_N), (5, 60),
+    (6, 60),
+])
+def test_size_table_boundaries(k, largest):
+    n = largest or 10 ** 9
+    _check_exact_size(k, n)
+    if largest is not None:
+        with pytest.raises(PermError, match=str(largest)):
+            _check_exact_size(k, largest + 1)
+    with pytest.raises(PermError, match="out of range"):
+        _check_exact_size(k, k - 1)
+
+
+def test_profile_refuses_through_the_size_table():
+    with pytest.raises(PermError, match="k <= 6"):
+        _check_exact_size(7, 10)
+    with pytest.raises(PermError, match="k <= 6"):
+        profile(range(1, 11), 7)
+    # the k = 5 refusal comes before any subset is enumerated
+    with pytest.raises(PermError, match="60"):
+        profile(range(1, 10 ** 6), 5)
+    with pytest.raises(PermError, match="out of range"):
+        profile((1, 2), 0)

@@ -1,0 +1,99 @@
+"""Golden `--out` files of seeded CLI runs.
+
+Each case runs `permutons` in-process with `--out` and compares the SHA-256
+of the written file with a digest recorded from an earlier release of the
+package.  The cases cross the exact size limits, the flat-grid density
+formula, the defect rule and the search score, so a refactor of any of them
+that changes one output byte fails here.  The digests are never regenerated
+to make a change pass: a differing digest means the output changed.
+"""
+
+import hashlib
+
+import pytest
+
+from permutons.cli import main
+
+from conftest import FIXTURES
+
+TAU12 = "5 11 2 8 12 1 7 3 10 4 9 6"
+BALANCED9 = str(FIXTURES / "balanced9.permuton")
+FLAT2 = str(FIXTURES / "flat2.permuton")
+WINDOW = str(FIXTURES / "window_half.permuton")
+MC = ("--mode", "mc", "--samples", "20000")
+
+CASES = {
+    "densities-4": ("densities", "4", TAU12),
+    "density-exact": ("density", "1 3 2", TAU12),
+    "density-mc": ("density", "1 3 2", TAU12, *MC),
+    "symmetry-balanced9-3": ("symmetry", BALANCED9, "3"),
+    "symmetry-balanced9-4": ("symmetry", BALANCED9, "4"),
+    "symmetry-flat2-3-csv": ("symmetry", FLAT2, "3", "--format", "csv"),
+    "symmetry-flat2-4-csv": ("symmetry", FLAT2, "4", "--format", "csv"),
+    "symmetry-window-3-mc": ("symmetry", WINDOW, "3", *MC),
+    "symmetry-window-4-mc": ("symmetry", WINDOW, "4", *MC),
+    "inflatable-balanced9-3": ("inflatable", "4 3 8 9 5 1 2 7 6", "3"),
+    "search-inflatable-6-3": ("search-inflatable", "6", "3"),
+    "integrals-balanced9": ("integrals", BALANCED9),
+    "integrals-flat2": ("integrals", FLAT2),
+    "chain-balanced9": ("chain", BALANCED9),
+    "chain-flat2": ("chain", FLAT2),
+    "identity-balanced9": ("identity", BALANCED9),
+    "identity-flat2": ("identity", FLAT2),
+    "permuton-density-exact": ("permuton-density", "2 1 3", BALANCED9),
+}
+
+GOLDEN = {
+    "chain-balanced9":
+        "13079a31db5f513b02f89cb8c19bff01b649c23c6bea90f78318f14afa91a60e",
+    "chain-flat2":
+        "9d8b41e5f9932215e95f365b7f29936abcc18b9899bc12cf0a25fe7ff29ce973",
+    "densities-4":
+        "c6b64ad99db107d99f3c665838723e5e77ecd789d30d724026471e1dddac1825",
+    "density-exact":
+        "2609f191efb9a8c056764a757dd413c9793e416e452e27fd44dc99068abf544e",
+    "density-mc":
+        "ea0d6923298c2e0cb8848081f88c4e4e82416e9ded35dc846232e84008a9aa04",
+    "identity-balanced9":
+        "8c0eea0214b32157346354f938da825f6e53691dbaed7638e20bbfea2af2406a",
+    "identity-flat2":
+        "5b72efd8d218d763b273369d458029b5c01b26169c418aecc75807b4a7656d17",
+    "inflatable-balanced9-3":
+        "fc085b059489dff3dd8dd156b6b0b3460e257759bed0624562b9a28415e78b6d",
+    "integrals-balanced9":
+        "e7bd648f837e26f81e0892be2b4c2a23abff646e7a89e0e736da78d796d045d7",
+    "integrals-flat2":
+        "67fb00629ba1ea3f9e9da69e16ae1002a499316565d15a2403fa373ceba226d2",
+    "permuton-density-exact":
+        "0702b4bb4f22a8e4fc26d11ffda9bc755ef93f5ec8a4bf8f4ddf7433b3edfb5d",
+    "search-inflatable-6-3":
+        "d950b4e86f37941c3520e2f6072e72fac7dd04015e53cf27644030cfef1c1216",
+    "symmetry-balanced9-3":
+        "ea36f7c6e5d99c042880002610b8b820e04acc66f5f65294d3df49a6d9711fe9",
+    "symmetry-balanced9-4":
+        "a3b27fac4182c3828a9ba5f903cea12d7464c58dc8ffb5e31e4fda439e2343ab",
+    "symmetry-flat2-3-csv":
+        "b02a5eef69afe61382a6e5fac98f1814f37e47cd87d4222f82346d49c89ab616",
+    "symmetry-flat2-4-csv":
+        "c77ba41eb45eb4a1ebbe2e3faa8e8e079b8a2b1528e0e8c6afc9ba6db646feab",
+    "symmetry-window-3-mc":
+        "825575de39d7a7062c9e694814b912b5d64517b925b3a9a5b6e91f1a3da5e4db",
+    "symmetry-window-4-mc":
+        "4e0aca86e83a61baababd1ea2ef0f40f342d7ac9b073ff3e6388d2f5b58c5723",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_out_file_matches_golden_digest(name, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main([*CASES[name], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+def test_oversized_exact_density_is_refused_without_output(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    tau = " ".join(map(str, range(1, 62)))
+    assert main(["density", "1 2 3 4 5", tau, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

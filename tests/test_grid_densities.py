@@ -246,6 +246,20 @@ def test_nonpermutation_grids_keep_the_cell_sweep():
 # identity_check under mode="exact"
 
 
+def test_cell_sweep_returns_only_what_its_callers_read():
+    assert set(_grid_cell_integrals(from_perm(Perm((2, 1))))) == {"i1", "i2", "i3", "L"}
+
+
+def test_exact_mode_refusals_name_the_grid_limit():
+    limit = analysis.EXACT_GRID_LIMIT
+    with pytest.raises(AnalysisError, match=rf"^exact integrals need a grid "
+                                            rf"permuton with n <= {limit}$"):
+        lemma_integrals(m_set(0), Budget(mode="exact", samples=1000))
+    with pytest.raises(AnalysisError, match=rf"^exact identity check needs a "
+                                            rf"grid permuton with n <= {limit}$"):
+        identity_check(m_set(0), Budget(mode="exact", samples=1000))
+
+
 def test_identity_exact_mode_refuses_without_exact_path():
     with pytest.raises(AnalysisError):
         identity_check(m_set(0), Budget(mode="exact", samples=1000))

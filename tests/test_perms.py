@@ -13,8 +13,9 @@ from permutons import (
     parse_perm, reflections,
 )
 from permutons import counting
-from permutons.perms import _check_exact_size
+from permutons.counting import _check_exact_size
 
+F = Fraction
 perms = st.permutations(range(1, 8)).map(lambda v: Perm(tuple(v)))
 
 
@@ -116,6 +117,20 @@ def test_exact_size_limits_are_validation_errors():
         density_exact(Perm((2, 1, 4, 3)), big)
     with pytest.raises(PermError, match="60"):
         density_exact(Perm((1, 2, 3, 4, 5)), Perm(tuple(range(1, 62))))
+
+
+def test_perm_error_is_the_counting_error():
+    from permutons import perms
+    assert perms.PermError is counting.PermError is PermError
+
+
+def test_defect_witness_first_maximiser_wins():
+    from permutons.perms import defect_witness
+    table = {(1, 2): F(1, 4), (2, 1): F(3, 4)}
+    assert defect_witness(table, 2) == (F(1, 4), (1, 2))
+    floats = {(1, 2): 0.25, (2, 1): 0.75}
+    assert defect_witness(floats, 2) == (0.25, (1, 2))
+    assert defect_witness({(1,): F(1)}, 1) == (0, (1,))
 
 
 def test_profile3_size_limit_is_a_validation_error():

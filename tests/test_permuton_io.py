@@ -74,6 +74,11 @@ def test_parse_errors():
         parse_permuton("type m_set\na 2\n")
     with pytest.raises(PermutonError):
         parse_permuton("type mixture\ncomponent 1\n")  # missing body
+    with pytest.raises(PermutonError, match="two"):
+        parse_permuton("type grid\nn two\nmass 1\n")
+    for text in ("type m_set\na 1e400\n", "type segments\nsegment 0 0 1e999 1\n"):
+        with pytest.raises(PermutonError, match="bad number"):
+            parse_permuton(text)
 
 
 def test_load_rejects_nonuniform_marginals(tmp_path):

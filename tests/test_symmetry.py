@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -8,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutons import (
-    Perm, from_perm, is_inflatable, m_set, profile, reflection_report,
-    search_inflatable, symmetry_defect, uniform,
+    Perm, from_perm, grid_densities, is_inflatable, m_set, profile,
+    reflection_report, search_inflatable, symmetry_defect, uniform,
 )
+from permutons import symmetry as symmetry_module
+from permutons.measures import FLAT_TERMS, _flat_sums
+from permutons.perms import defect_witness
 from permutons.symmetry import _perm_chunks, _score_hits
 
 from conftest import BALANCED_9
@@ -74,13 +78,71 @@ def test_singleton_is_not_inflatable():
 
 
 def test_score_filter_matches_exact_verdicts_on_s5():
-    # the six integer equalities must agree with the rational defect test
+    # the integer score must agree with the rational defect test
     import numpy as np
-    batch = np.array(list(itertools.permutations(range(5))), dtype=np.int64)
-    hits = set(map(tuple, batch[_score_hits(batch)] + 1))
-    for tau in itertools.permutations(range(1, 6)):
-        ok, _ = is_inflatable(Perm(tau), 3)
-        assert ok == (tau in hits), tau
+    for n in (4, 5, 6):
+        batch = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        hits = set(map(tuple, batch[_score_hits(batch)] + 1))
+        for tau in itertools.permutations(range(1, n + 1)):
+            ok, _ = is_inflatable(Perm(tau), 3)
+            assert ok == (tau in hits), tau
+
+
+def test_score_sums_are_scaled_exact_densities(monkeypatch):
+    # S_n has no 3-inflatable rows for n <= 10, so the mask alone cannot show
+    # a wrong count; check every sum the score compares, S = 3! n^3 t(pi)
+    sums = []
+
+    def capture(profiles, k):
+        sums.append(_flat_sums(profiles, k))
+        return sums[-1]
+
+    monkeypatch.setattr(symmetry_module, "_flat_sums", capture)
+    for n in range(2, 7):
+        batch = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+        _score_hits(batch)
+        for row, tau in enumerate(batch.tolist()):
+            dens = grid_densities(from_perm(Perm(tuple(tau))), 3)
+            for pi, total in sums[-1].items():
+                assert int(total[row]) == 6 * n ** 3 * dens[pi], (tau, pi)
+
+
+def _collected_terms(pi):
+    """FLAT_TERMS[3][pi] as {(r, sigma): summed weight}."""
+    out = {}
+    for r, sigma, w in FLAT_TERMS[3][pi]:
+        out[(r, sigma)] = out.get((r, sigma), 0) + w
+    return out
+
+
+def test_flat_terms_k3_are_the_six_score_equalities():
+    # 36 occ(pi) + corr(pi) = n^3, corr = 18 occ12 + n for 123, 9 occ12 + n
+    # for 132 and 213, 9 occ21 + n for 231 and 312, 18 occ21 + n for 321
+    corr = {(1, 2, 3): ((1, 2), 18), (1, 3, 2): ((1, 2), 9),
+            (2, 1, 3): ((1, 2), 9), (2, 3, 1): ((2, 1), 9),
+            (3, 1, 2): ((2, 1), 9), (3, 2, 1): ((2, 1), 18)}
+    assert list(FLAT_TERMS[3]) == list(corr)
+    for pi, (pair, w) in corr.items():
+        assert _collected_terms(pi) == {(3, pi): 36, (2, pair): w, (1, (1,)): 1}
+
+
+def test_flat_terms_give_the_occ132_identity():
+    # exact 3-symmetry forces occ(132) = (n^3 - n)/36 - occ(12)/4 (README)
+    for n in range(3, 12):
+        for occ12 in range(math.comb(n, 2) + 1):
+            occ132 = F(n ** 3 - n, 36) - F(occ12, 4)
+            profiles = {1: {(1,): n},
+                        2: {(1, 2): occ12, (2, 1): math.comb(n, 2) - occ12},
+                        3: {(1, 3, 2): occ132}}
+            assert sum(w * profiles[r][s]
+                       for r, s, w in FLAT_TERMS[3][(1, 3, 2)]) == n ** 3
+
+
+def test_verdicts_take_the_shared_defect_rule():
+    mu = from_perm(BALANCED_9[0])
+    for v in (symmetry_defect(mu, 3), symmetry_defect(mu, 4),
+              symmetry_defect(m_set(F(1, 2)), 3, samples=5000, seed=2)):
+        assert (v.defect, v.witness) == defect_witness(v.densities, v.k)
 
 
 @settings(max_examples=30, deadline=None)
