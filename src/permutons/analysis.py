@@ -50,7 +50,7 @@ from .counting import all_patterns
 from .discrepancy import discrepancy
 from .measures import (
     GridPermuton, MixturePermuton, Permuton, PermutonError, SegmentPermuton,
-    Segment, cdf_many, density_mc, discrepancy_permuton, from_perm,
+    Segment, cdf_many, discrepancy_permuton, from_perm,
     grid_densities, m_set, moment, sample_patterns,
 )
 from .perms import DEFAULT_SEED, Perm, all_densities, mc_chunks, mean_ci99
@@ -498,18 +498,11 @@ def _id3_from_masses(table, masses: Sequence[Fraction]) -> Fraction:
     return 6 * total
 
 
-def t_id3_segment(a, mode: str = "exact",
-                  budget: Budget | None = None) -> Fraction | float:
-    """t(id3, m_set(a)): exact polytope volumes, or Monte Carlo."""
-    budget = budget or Budget()
+def t_id3_segment(a) -> Fraction:
+    """t(id3, m_set(a)), exactly, from polytope volumes."""
     mu = m_set(a)
-    if mode == "exact":
-        table = _id3_volume_table(mu.segments)
-        return _id3_from_masses(table, [s.mass for s in mu.segments])
-    if mode == "mc":
-        est, _ = density_mc((1, 2, 3), mu, budget.samples, budget.seed)
-        return est
-    raise AnalysisError(f"unknown mode {mode!r}")
+    table = _id3_volume_table(mu.segments)
+    return _id3_from_masses(table, [s.mass for s in mu.segments])
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +575,7 @@ def find_b(tol: float = 1e-5) -> RootResult:
     """
     if tol <= 0:
         raise AnalysisError("tol must be positive")
-    return _bracket_and_bisect(lambda aa: t_id3_segment(aa, "exact"),
-                               tol, "b")
+    return _bracket_and_bisect(t_id3_segment, tol, "b")
 
 
 def find_nu(tol: float = 1e-5) -> RootResult:

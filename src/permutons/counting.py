@@ -2,9 +2,10 @@
 
 ``profile(tau, k)`` returns occurrence counts of every length-k pattern:
 k <= 2 and k = 3 run in O(n log n) from per-position quadrant statistics,
-k = 4 in O(n^2) via two vectorized sweeps over middle pairs.  k = 5, 6 fall
-back to chunked subset enumeration (|tau| <= 60).  ``three_counts`` is the
-k = 3 formula over the last axis of a batch, shared with the S_n search.
+k = 4 in O(n^2) via one vectorized sweep over middle pairs, with two
+splits read off the 3-profile.  k = 5, 6 fall back to chunked subset
+enumeration (|tau| <= 60).  ``three_counts`` is the k = 3 formula over the
+last axis of a batch, shared with the S_n search and the k = 4 engine.
 ``profile_naive`` is the independent oracle used by the test suite; the fast
 paths must agree with it exactly.
 
@@ -176,46 +177,52 @@ def _profile3(tau: Sequence[int]) -> Dict[Pattern, int]:
     return {p: int(x) for p, x in zip(all_patterns(3), counts)}
 
 
-def _zone_signature_map() -> Dict[Tuple[bool, int, int], Pattern]:
-    """Pattern keyed by (middle pair ascending?, zone of first point, zone of
-    last point) for the twelve signatures whose zones differ.  Zones are
-    relative to the middle-pair values: 0 below both, 1 between, 2 above."""
-    reps = {0: 1.0, 1: 2.5, 2: 4.0}
-    out: Dict[Tuple[bool, int, int], Pattern] = {}
-    for asc in (True, False):
-        vj, vk = (2.0, 3.0) if asc else (3.0, 2.0)
-        for zi in range(3):
-            for zl in range(3):
-                if zi == zl:
-                    continue
-                quad = [reps[zi], vj, vk, reps[zl]]
-                out[(asc, zi, zl)] = pattern_of(quad)
-    return out
+def _zone_pattern(asc: bool, zi: int, zl: int, tilt: float = 0.0) -> Pattern:
+    """Pattern of a quadruple whose middle pair ascends (asc) and whose first
+    and last points lie in value zones zi and zl: 0 below both middle values,
+    1 between, 2 above.  In a shared zone, tilt > 0 puts the first point
+    below the last."""
+    vj, vk = (2.0, 3.0) if asc else (3.0, 2.0)
+    reps = (1.0, 2.5, 4.0)
+    return pattern_of([reps[zi] - tilt, vj, vk, reps[zl] + tilt])
 
 
-_SIG_MAP = _zone_signature_map()
+# the twelve signatures (asc, zi, zl) whose zones differ fix the pattern
+_SIG_MAP = {(asc, zi, zl): _zone_pattern(asc, zi, zl)
+            for asc in (True, False) for zi in range(3) for zl in range(3) if zi != zl}
 
 
 def _ambiguous_pair(asc: bool, z: int) -> Tuple[Pattern, Pattern]:
-    """(pattern with first point below last, pattern with first above) for
-    the two points sharing zone z around the middle pair."""
-    reps = {0: 1.0, 1: 2.5, 2: 4.0}
-    vj, vk = (2.0, 3.0) if asc else (3.0, 2.0)
-    lo = pattern_of([reps[z] - 0.1, vj, vk, reps[z] + 0.1])
-    hi = pattern_of([reps[z] + 0.1, vj, vk, reps[z] - 0.1])
-    return lo, hi
+    """(first point below last, first above) for the two patterns of zone z."""
+    return _zone_pattern(asc, z, z, 0.1), _zone_pattern(asc, z, z, -0.1)
+
+
+# the nonzero occ(sigma, pi), pi in S_4, per sigma in S_3.  Each occurrence of
+# sigma in tau lies in n - 3 four-point sets, so
+# sum_pi occ(sigma, pi) N4(pi) = (n - 3) N3(sigma).
+_OCC3_IN4 = {sigma: tuple((pi, c) for pi in all_patterns(4)
+                          if (c := profile_naive(pi, 3)[sigma]))
+             for sigma in all_patterns(3)}
+
+
+def _relation_gaps(table4: Dict[Pattern, int], table3: Dict[Pattern, int],
+                   n: int) -> Dict[Pattern, int]:
+    """(n - 3) N3(sigma) - sum_pi occ(sigma, pi) N4(pi), per sigma in S_3."""
+    return {sigma: (n - 3) * table3[sigma] - sum(c * table4[pi] for pi, c in terms)
+            for sigma, terms in _OCC3_IN4.items()}
 
 
 def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
     """O(n^2) 4-pattern table.
 
-    Sweep A classifies each quadruple (i < j < k < l) by the middle pair
+    One sweep classifies each quadruple (i < j < k < l) by the middle pair
     (j, k): whether v_j < v_k, and the value zones of v_i and v_l relative to
     (min, max) of the pair.  Twelve signatures determine the pattern
-    outright; the six with equal zones cover two patterns each.  Sweep B
-    counts one pattern of each ambiguous pair directly (three folded into
-    the same j-loop, three into an i-loop); the partner follows by
-    subtraction.  All arithmetic is int64-exact.
+    outright; the six with equal zones cover two patterns each.  The sweep
+    counts one pattern of four such pairs; the 3-profile, from the same
+    dominance count, gives 3124 (sigma = 213) and 1432 (sigma = 132) through
+    the _OCC3_IN4 relations, and all six relations are checked at the end.
+    Partners follow by subtraction.  All arithmetic is int64-exact.
     """
     n = len(tau)
     table: Dict[Pattern, int] = {p: 0 for p in all_patterns(4)}
@@ -285,53 +292,31 @@ def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
 
         cnt_lt[vj + 1:] += 1
 
-    # sweep B: remaining two disambiguators, i as the first position
-    d3124 = d1432 = 0
-    cnt_lt_incl = np.zeros(n + 2, dtype=np.int64)
-    for i in range(n - 3):
-        vi = int(v[i])
-        cnt_lt_incl[vi + 1:] += 1         # include position i itself
-        later = v[i + 1:]
-        kk = pos[i + 1:]
-        H = np.cumsum(v > vi)
-        J = np.cumsum(v < vi)
-        below = later < vi                # v_k < v_i
-        if below.any():
-            kpos = kk[below]
-            vkb = later[below]
-            d3124 += int(((c_self[kpos] - cnt_lt_incl[vkb])
-                          * ((n - vi) - H[kpos])).sum())
-        above = later > vi                # v_k > v_i
-        if above.any():
-            kpos = kk[above]
-            vka = later[above]
-            nj = (kpos - c_self[kpos]) - ((i + 1) - cnt_lt_incl[vka])
-            nl = (vka - vi) - c_self[kpos] + J[kpos]
-            d1432 += int((nj * nl).sum())
-
     for (flag, zi, zl), pat in _SIG_MAP.items():
         table[pat] = int(acc[flag][zi, zl])
 
-    # ambiguous classes: direct count and partner by subtraction
-    def split(flag: bool, z: int, direct: int, direct_is_lo: bool) -> None:
-        lo, hi = _ambiguous_pair(flag, z)
-        cls = int(acc[flag][z, z])
-        if direct_is_lo:
-            table[lo] = direct
-            table[hi] = cls - direct
-        else:
-            table[hi] = direct
-            table[lo] = cls - direct
+    # ambiguous classes: one pattern counted, its partner by subtraction
+    def split(flag: bool, z: int, pat: Pattern, count: int) -> None:
+        for p in _ambiguous_pair(flag, z):
+            table[p] = count if p == pat else int(acc[flag][z, z]) - count
 
-    split(True, 0, d1342, True)    # (asc, low):  1342 / 2341
-    split(True, 1, d2143, True)    # (asc, mid):  2143 / 3142
-    split(True, 2, d3124, True)    # (asc, high): 3124 / 4123
-    split(False, 0, d1432, True)   # (desc, low): 1432 / 2431
-    split(False, 1, d3412, False)  # (desc, mid): 2413 / 3412
-    split(False, 2, d3214, True)   # (desc, high): 3214 / 4213
+    split(True, 0, (1, 3, 4, 2), d1342)
+    split(True, 1, (2, 1, 4, 3), d2143)
+    split(False, 1, (3, 4, 1, 2), d3412)
+    split(False, 2, (3, 2, 1, 4), d3214)
 
-    if sum(table.values()) != math.comb(n, 4):
-        raise RuntimeError("4-profile lost mass")
+    # the last two from the 3-profile: with 3124 = 1432 = 0 placed, the 213
+    # gap is (occ(213, 3124) - occ(213, 4123)) N4(3124) = 2 N4(3124), as 1432
+    # and 2431 hold equally many 213s; likewise the 132 gap is 2 N4(1432)
+    three = dict(zip(all_patterns(3), map(int, three_counts(v, c_self))))
+    split(True, 2, (3, 1, 2, 4), 0)
+    split(False, 0, (1, 4, 3, 2), 0)
+    gap = _relation_gaps(table, three, n)
+    split(True, 2, (3, 1, 2, 4), gap[2, 1, 3] // 2)
+    split(False, 0, (1, 4, 3, 2), gap[1, 3, 2] // 2)
+
+    if any(_relation_gaps(table, three, n).values()):
+        raise RuntimeError("4-profile breaks the 3-profile relations")
     return table
 
 

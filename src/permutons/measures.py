@@ -32,6 +32,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _CDF_BLOCK = 1 << 18  # entries of the grid CDF table held at once
 GRID_EXACT_MAX_K = 4  # longest pattern with exact grid densities
+GRID_MULTISET_MAX = 100_000  # most cell multisets in one exact grid pass
 
 
 class PermutonError(ValueError):
@@ -710,8 +711,14 @@ def _flat_densities(tau: tuple[int, ...], k: int) -> dict[tuple[int, ...], Fract
 
 
 def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
-    """One pass over the cell multisets: O((#cells + k - 1 choose k) * (k!)^2)."""
+    """One pass over the cell multisets: O((#cells + k - 1 choose k) * (k!)^2),
+    refused beyond GRID_MULTISET_MAX multisets before any work."""
     cells = [(c, m) for c, m in sorted(mu.cells.items()) if m > 0]
+    count = math.comb(len(cells) + k - 1, k)
+    if count > GRID_MULTISET_MAX:
+        raise PermutonError(
+            f"exact densities of this grid at k = {k} take {count} cell multisets, "
+            f"over the limit GRID_MULTISET_MAX = {GRID_MULTISET_MAX}; use --mode mc")
     table = {pi: _ZERO for pi in counting.all_patterns(k)}
     kfact = math.factorial(k)
     for multiset in combinations_with_replacement(range(len(cells)), k):

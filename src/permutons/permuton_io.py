@@ -2,7 +2,8 @@
 
 A description is a block of lines; blank lines and ``#`` comments are
 ignored.  The first line of a block is ``type <kind>``; the payload depends
-on the kind.  Numbers may be integers, decimals, or rationals ``p/q``.
+on the kind.  Numbers may be integers, decimals (exponents of at most four
+digits), or rationals ``p/q``; all are read exactly.
 
 type perm
     ``perm <one-line notation>`` -- the flat grid measure of a permutation::
@@ -47,6 +48,7 @@ whose strip masses deviate from uniform.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,14 +63,19 @@ MARGINAL_TOL = 1e-9
 
 
 def _num(tok: str) -> Fraction:
+    """Exact value of an integer, decimal, exponent or p/q token.  Exponents
+    of five digits (Fraction would build 10^exp) and values beyond the float
+    range (the float paths, such as segment lengths, cannot hold them) are
+    refused."""
     try:
-        if "/" in tok:
-            return Fraction(tok)
-        if "." in tok or "e" in tok or "E" in tok:
-            return Fraction(float(tok))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        if len(tok.lower().partition("e")[2].lstrip("+-")) > 4:
+            raise ValueError("exponent too long")
+        value = Fraction(tok)
+        if abs(value) > sys.float_info.max:
+            raise ValueError("beyond the float range")
+    except (ValueError, ZeroDivisionError) as exc:
         raise PermutonError(f"bad number {tok!r}") from exc
+    return value
 
 
 def _clean(lines: list[str]) -> list[str]:

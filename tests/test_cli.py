@@ -216,6 +216,7 @@ def test_negative_seed_is_a_validation_error(capsys, mset_file, argv):
     "type grid\nn two\nmass 1\n",
     "type m_set\na 1e400\n",
     "type segments\nsegment 0 0 1e999 1\n",
+    "type m_set\na 1e99999\n",
 ])
 def test_malformed_permuton_file_is_a_validation_error(capsys, tmp_path, text):
     bad = tmp_path / "bad.permuton"

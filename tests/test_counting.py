@@ -11,6 +11,7 @@ from permutons import (
     all_patterns, inversions, left_smaller_counts, occurrences,
     occurrences_naive, pattern_of, profile, profile_naive,
 )
+from permutons import counting
 from permutons.counting import (
     PROFILE3_MAX_N, PROFILE4_MAX_N, PermError, _check_exact_size, three_counts,
 )
@@ -83,9 +84,9 @@ def test_inversions_equal_21_occurrences(tau):
 
 
 def test_profile_exhaustive_small():
-    # every permutation up to length 6, every k up to 4, against the
+    # every permutation up to length 7, every k up to 4, against the
     # subset-enumeration oracle
-    for n in range(1, 7):
+    for n in range(1, 8):
         for tau in itertools.permutations(range(1, n + 1)):
             for k in range(1, min(n, 4) + 1):
                 assert profile(tau, k) == profile_naive(tau, k), (tau, k)
@@ -133,6 +134,54 @@ def test_three_counts_matches_oracle_on_batches():
                 expect = profile_naive(tuple(row), 3)
                 assert dict(zip(all_patterns(3), counts[:, r].tolist())) \
                     == expect, (row, n)
+
+
+def test_four_profile_fixes_the_three_profile():
+    # sum_pi occ(sigma, pi) N4(pi) = (n - 3) N3(sigma), on the oracle tables
+    rng = np.random.default_rng(23)
+    for n in range(4, 12):
+        tau = tuple(int(v) + 1 for v in rng.permutation(n))
+        gaps = counting._relation_gaps(profile_naive(tau, 4), profile_naive(tau, 3), n)
+        assert set(gaps.values()) == {0}, tau
+
+
+def test_only_two_ambiguous_splits_follow_from_the_three_profile():
+    # each class's lo - hi difference of occ(sigma, .) over S_3; the six
+    # vectors span a rank-2 space, so at most two splits can be derived
+    occ = {(s, pi): c for s, terms in counting._OCC3_IN4.items() for pi, c in terms}
+    assert occ == {(s, pi): c for pi in all_patterns(4)
+                   for s, c in profile_naive(pi, 3).items() if c}
+    diff = {}
+    for flag in (True, False):
+        for z in range(3):
+            lo, hi = counting._ambiguous_pair(flag, z)
+            diff[flag, z] = np.array([occ.get((s, lo), 0) - occ.get((s, hi), 0)
+                                      for s in all_patterns(3)])
+    assert np.linalg.matrix_rank(np.array(list(diff.values()))) == 2
+    # (asc, high) from sigma = 213, (desc, low) from sigma = 132: the relation
+    # reads 2 N4(lo) of its own split and nothing of the other one
+    s213, s132 = all_patterns(3).index((2, 1, 3)), all_patterns(3).index((1, 3, 2))
+    assert (diff[True, 2][s213], diff[False, 0][s213]) == (2, 0)
+    assert (diff[False, 0][s132], diff[True, 2][s132]) == (2, 0)
+
+
+@pytest.mark.parametrize("sigma, shift",
+                         [((2, 1, 3), 2), ((1, 3, 2), 1), ((1, 2, 3), 2)])
+def test_profile4_refuses_a_table_that_breaks_the_relations(monkeypatch, sigma,
+                                                             shift):
+    # a wrong 3-count moves a derived split (213, 132) or none (123); either
+    # way one of the six relations misses
+    real = counting.three_counts
+    row = all_patterns(3).index(sigma)
+
+    def skewed(v, a):
+        out = real(v, a)
+        out[row] += shift
+        return out
+
+    monkeypatch.setattr(counting, "three_counts", skewed)
+    with pytest.raises(RuntimeError, match="3-profile relations"):
+        profile((5, 11, 2, 8, 12, 1, 7, 3, 10, 4, 9, 6), 4)
 
 
 def test_profile4_refuses_beyond_int64_safe_range():

@@ -17,17 +17,33 @@ from permutons.cli import main
 from conftest import FIXTURES
 
 TAU12 = "5 11 2 8 12 1 7 3 10 4 9 6"
+# a seeded order-200 permutation (numpy default_rng(2026), first draw)
+TAU200 = (
+    "55 94 199 3 120 61 48 183 17 112 170 115 138 11 113 87 88 34 23 164 10 "
+    "20 78 18 188 155 91 32 63 187 106 118 74 151 51 69 129 90 161 12 145 "
+    "82 83 99 49 174 39 125 13 146 134 52 45 117 56 84 75 97 19 141 159 144 "
+    "142 60 71 58 77 79 143 173 190 127 176 15 148 195 185 86 2 160 85 81 "
+    "123 16 175 132 162 189 167 6 95 102 105 137 200 8 149 193 26 197 4 36 "
+    "72 180 181 35 30 182 9 166 135 172 62 178 191 29 59 139 177 156 73 68 "
+    "42 31 147 153 124 126 154 47 131 64 100 22 111 122 110 44 103 158 53 "
+    "57 107 70 40 109 33 108 121 38 65 76 136 168 101 92 128 157 165 7 184 "
+    "89 46 130 66 140 196 133 194 119 150 152 43 186 28 67 21 37 54 98 1 25 "
+    "114 179 50 14 163 80 24 169 198 93 41 27 96 116 104 192 5 171"
+)
 BALANCED9 = str(FIXTURES / "balanced9.permuton")
 FLAT2 = str(FIXTURES / "flat2.permuton")
 WINDOW = str(FIXTURES / "window_half.permuton")
+PERM40 = str(FIXTURES / "perm40.permuton")
 MC = ("--mode", "mc", "--samples", "20000")
 
 CASES = {
     "densities-4": ("densities", "4", TAU12),
+    "densities-4-tau200": ("densities", "4", TAU200),
     "density-exact": ("density", "1 3 2", TAU12),
     "density-mc": ("density", "1 3 2", TAU12, *MC),
     "symmetry-balanced9-3": ("symmetry", BALANCED9, "3"),
     "symmetry-balanced9-4": ("symmetry", BALANCED9, "4"),
+    "symmetry-perm40-4": ("symmetry", PERM40, "4"),
     "symmetry-flat2-3-csv": ("symmetry", FLAT2, "3", "--format", "csv"),
     "symmetry-flat2-4-csv": ("symmetry", FLAT2, "4", "--format", "csv"),
     "symmetry-window-3-mc": ("symmetry", WINDOW, "3", *MC),
@@ -36,8 +52,10 @@ CASES = {
     "search-inflatable-6-3": ("search-inflatable", "6", "3"),
     "integrals-balanced9": ("integrals", BALANCED9),
     "integrals-flat2": ("integrals", FLAT2),
+    "integrals-perm40": ("integrals", PERM40),
     "chain-balanced9": ("chain", BALANCED9),
     "chain-flat2": ("chain", FLAT2),
+    "chain-perm40": ("chain", PERM40),
     "identity-balanced9": ("identity", BALANCED9),
     "identity-flat2": ("identity", FLAT2),
     "permuton-density-exact": ("permuton-density", "2 1 3", BALANCED9),
@@ -48,8 +66,12 @@ GOLDEN = {
         "13079a31db5f513b02f89cb8c19bff01b649c23c6bea90f78318f14afa91a60e",
     "chain-flat2":
         "9d8b41e5f9932215e95f365b7f29936abcc18b9899bc12cf0a25fe7ff29ce973",
+    "chain-perm40":
+        "944c74d5e84f033a2e63b371067fc6bfceaaa5d33151636e6b8f5282f0efb82c",
     "densities-4":
         "c6b64ad99db107d99f3c665838723e5e77ecd789d30d724026471e1dddac1825",
+    "densities-4-tau200":
+        "ff61c7f74e0340d08bb90becb7f4cb7da73d3573a9d0c25264d995c939338896",
     "density-exact":
         "2609f191efb9a8c056764a757dd413c9793e416e452e27fd44dc99068abf544e",
     "density-mc":
@@ -64,6 +86,8 @@ GOLDEN = {
         "e7bd648f837e26f81e0892be2b4c2a23abff646e7a89e0e736da78d796d045d7",
     "integrals-flat2":
         "67fb00629ba1ea3f9e9da69e16ae1002a499316565d15a2403fa373ceba226d2",
+    "integrals-perm40":
+        "91d76b6921ca216f43b308d76d8e769ec1cde98bf8e10ae2b230fed8f4ac1a3f",
     "permuton-density-exact":
         "0702b4bb4f22a8e4fc26d11ffda9bc755ef93f5ec8a4bf8f4ddf7433b3edfb5d",
     "search-inflatable-6-3":
@@ -76,6 +100,8 @@ GOLDEN = {
         "b02a5eef69afe61382a6e5fac98f1814f37e47cd87d4222f82346d49c89ab616",
     "symmetry-flat2-4-csv":
         "c77ba41eb45eb4a1ebbe2e3faa8e8e079b8a2b1528e0e8c6afc9ba6db646feab",
+    "symmetry-perm40-4":
+        "4503c6c0a0e0fc360c498f037861108768c467f5cac41e756b6b66abbbbbb424",
     "symmetry-window-3-mc":
         "825575de39d7a7062c9e694814b912b5d64517b925b3a9a5b6e91f1a3da5e4db",
     "symmetry-window-4-mc":

@@ -14,7 +14,8 @@ from permutons import (
     cs_chain, density_exact_grid, from_perm, grid_densities, identity_check,
     lemma_integrals, m_set, symmetry_defect, uniform,
 )
-from permutons import analysis, counting
+from permutons import analysis, counting, measures
+from permutons.cli import main
 from permutons.analysis import _LEMMA_COEFFICIENTS, _grid_cell_integrals
 
 from conftest import random_perm
@@ -143,6 +144,27 @@ def test_table_refuses_bad_arguments():
         grid_densities(m_set(F(1, 2)), 3)
     with pytest.raises(PermutonError):
         density_exact_grid((1, 2), m_set(F(1, 2)))
+
+
+def test_oversized_cell_multiset_pass_is_refused_before_any_work(
+        monkeypatch, tmp_path, capsys):
+    # a filled 7 x 7 grid at k = 4 has C(52, 4) = 270,725 cell multisets
+    assert math.comb(49 + 3, 4) > measures.GRID_MULTISET_MAX
+    monkeypatch.setattr(measures, "_induced_patterns", None)  # no multiset is visited
+    mass = F(1, 49)
+    grid = GridPermuton(7, {(i, j): mass for i in range(1, 8) for j in range(1, 8)})
+    refusal = (rf"270725 cell multisets, over the limit GRID_MULTISET_MAX = "
+               rf"{measures.GRID_MULTISET_MAX}; use --mode mc$")
+    with pytest.raises(PermutonError, match=refusal):
+        grid_densities(grid, 4)
+    with pytest.raises(PermutonError, match=refusal):
+        symmetry_defect(grid, 4, mode="exact")
+    path = tmp_path / "filled7.permuton"
+    path.write_text("type grid\nn 7\n" + ("mass" + " 1/49" * 7 + "\n") * 7)
+    out = tmp_path / "out.txt"
+    assert main(["symmetry", str(path), "4", "--out", str(out)]) == 1
+    assert "GRID_MULTISET_MAX" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,19 @@ def test_parse_errors():
         parse_permuton("type mixture\ncomponent 1\n")  # missing body
     with pytest.raises(PermutonError, match="two"):
         parse_permuton("type grid\nn two\nmass 1\n")
-    for text in ("type m_set\na 1e400\n", "type segments\nsegment 0 0 1e999 1\n"):
+    # beyond the float range, or a five-digit exponent (Fraction would build
+    # 10^exp exactly; 1e-99999 is refused by its exponent alone)
+    for text in ("type m_set\na 1e400\n", "type segments\nsegment 0 0 1e999 1\n",
+                 "type m_set\na 1e-99999\n", "type m_set\na 5E+10000\n"):
         with pytest.raises(PermutonError, match="bad number"):
             parse_permuton(text)
+
+
+def test_decimals_and_exponents_are_exact():
+    assert parse_permuton("type m_set\na 0.1\n") == m_set(F(1, 10))
+    tiny = parse_permuton("type m_set\na 1e-400\n")
+    assert tiny == m_set(F(1, 10 ** 400)) and tiny != m_set(0)
+    assert parse_permuton("type m_set\na 25E-2\n") == m_set(F(1, 4))
 
 
 def test_load_rejects_nonuniform_marginals(tmp_path):

@@ -13,7 +13,7 @@ from permutons import (
     reflection_report, search_inflatable, symmetry_defect, uniform,
 )
 from permutons import symmetry as symmetry_module
-from permutons.measures import FLAT_TERMS, _flat_sums
+from permutons.measures import FLAT_TERMS, _flat_sums, _multiset_densities
 from permutons.perms import defect_witness
 from permutons.symmetry import _perm_chunks, _score_hits
 
@@ -105,6 +105,27 @@ def test_score_sums_are_scaled_exact_densities(monkeypatch):
             dens = grid_densities(from_perm(Perm(tuple(tau))), 3)
             for pi, total in sums[-1].items():
                 assert int(total[row]) == 6 * n ** 3 * dens[pi], (tau, pi)
+
+
+# the eight rows of S_9 whose FLAT_TERMS[3] sums equal n^3 for 132, 213, 231
+# and 312 but not for 123 and 321 (a scan of all of S_9)
+NEAR_MISSES_9 = (
+    (2, 6, 5, 9, 7, 1, 3, 4, 8), (2, 6, 7, 9, 3, 1, 5, 4, 8),
+    (4, 9, 3, 2, 7, 8, 5, 1, 6), (4, 9, 5, 2, 3, 8, 7, 1, 6),
+    (6, 1, 5, 8, 7, 2, 3, 9, 4), (6, 1, 7, 8, 3, 2, 5, 9, 4),
+    (8, 4, 3, 1, 7, 9, 5, 6, 2), (8, 4, 5, 1, 3, 9, 7, 6, 2),
+)
+
+
+def test_score_rejects_order9_near_misses():
+    # Fails a score that ignores both the 123 and the 321 sum.  The six sums
+    # always add to 6 n^3, so a score that drops any single sum accepts the
+    # same rows as the full one, and no input can tell them apart.
+    assert not _score_hits(np.array(NEAR_MISSES_9, dtype=np.int64)).any()
+    for tau in NEAR_MISSES_9:
+        dens = _multiset_densities(from_perm(Perm(tau)), 3)
+        assert [dens[pi] == F(1, 6) for pi in sorted(dens)] == \
+            [False, True, True, True, True, False], tau
 
 
 def _collected_terms(pi):
