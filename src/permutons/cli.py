@@ -92,7 +92,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add(name: str, help_: str, *, seed=False, samples=False, tol=False,
-            resolution=False, threads=False, out=False, fmt=False, mode=False):
+            resolution=False, out=False, fmt=False, mode=False):
         sp = sub.add_parser(name, help=help_)
         if seed:
             sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
@@ -102,9 +102,6 @@ def build_parser() -> _Parser:
             sp.add_argument("--tol", type=float, default=1e-5)
         if resolution:
             sp.add_argument("--resolution", type=int, default=None)
-        if threads:
-            sp.add_argument("--threads", type=int, default=1,
-                            help="accepted for compatibility and ignored")
         if out:
             sp.add_argument("--out", default=None)
         if fmt:
@@ -150,7 +147,7 @@ def build_parser() -> _Parser:
     sp.add_argument("k", type=int)
 
     sp = add("search-inflatable", "exhaustive k-inflatable search over S_n",
-             threads=True, out=True)
+             out=True)
     sp.add_argument("n", type=int)
     sp.add_argument("k", type=int)
     sp.add_argument("--no-prune", action="store_true",

@@ -4,8 +4,10 @@
 k <= 2 and k = 3 run in O(n log n) from per-position quadrant statistics,
 k = 4 in O(n^2) via one vectorized sweep over middle pairs, with two
 splits read off the 3-profile.  k = 5, 6 fall back to chunked subset
-enumeration (|tau| <= 60).  ``three_counts`` is the k = 3 formula over the
-last axis of a batch, shared with the S_n search and the k = 4 engine.
+enumeration (|tau| <= 60), tallied by ``np.bincount`` of ``pattern_index``,
+the row-to-pattern index shared with the Monte Carlo histogram.
+``three_counts`` is the k = 3 formula over the last axis of a batch, shared
+with the S_n search and the k = 4 engine.
 ``profile_naive`` is the independent oracle used by the test suite; the fast
 paths must agree with it exactly.
 
@@ -20,7 +22,7 @@ Larger requests are refused with ``PermError`` before any work.
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +64,21 @@ def row_ranks(rows: np.ndarray) -> np.ndarray:
 
 def all_patterns(k: int) -> list[Pattern]:
     return sorted(permutations(range(1, k + 1)))
+
+
+def pattern_index(rows: np.ndarray) -> np.ndarray:
+    """Position of each row's pattern in all_patterns(k), k = rows.shape[1].
+
+    The Lehmer code read in factorial base: digit i counts the later entries
+    of the row below entry i.  The rows hold distinct values of any ordered
+    dtype, so no ranks are needed.  Exact while k! fits in int64 (k <= 20).
+    """
+    k = rows.shape[1]
+    idx = np.zeros(len(rows), dtype=np.int64)
+    for i in range(k - 1):
+        idx *= k - i
+        idx += (rows[:, i + 1:] < rows[:, i:i + 1]).sum(axis=1)
+    return idx
 
 
 def occurrences_naive(pattern: Pattern, tau: Sequence[int]) -> int:
@@ -325,38 +342,13 @@ _CHUNK = 1 << 19
 
 def _profile_enum(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
     """Chunked subset enumeration for k = 5, 6."""
-    n = len(tau)
-    pats = all_patterns(k)
-    code_of = {}
-    base = k + 1
-    for t, p in enumerate(pats):
-        code = 0
-        for r in p:
-            code = code * base + r
-        code_of[code] = t
-    codes = np.zeros(base ** (k + 1), dtype=np.int64) - 1
-    for code, t in code_of.items():
-        codes[code] = t
-    tau_arr = np.asarray(tau, dtype=np.int64)
-    counts = np.zeros(len(pats), dtype=np.int64)
-    buf: list[tuple[int, ...]] = []
-    powers = np.array([base ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-
-    def flush() -> None:
-        if not buf:
-            return
-        idx = np.array(buf, dtype=np.int64)
-        code = row_ranks(tau_arr[idx]) @ powers
-        t = codes[code]
-        counts[:] += np.bincount(t, minlength=len(pats))
-        buf.clear()
-
-    for comb in combinations(range(n), k):
-        buf.append(comb)
-        if len(buf) >= _CHUNK:
-            flush()
-    flush()
-    return {p: int(c) for p, c in zip(pats, counts)}
+    v = np.asarray(tau, dtype=np.int64)
+    counts = np.zeros(math.factorial(k), dtype=np.int64)
+    flat = chain.from_iterable(combinations(range(len(tau)), k))
+    while len(idx := np.fromiter(islice(flat, _CHUNK * k), dtype=np.int64)):
+        counts += np.bincount(pattern_index(v[idx.reshape(-1, k)]),
+                              minlength=len(counts))
+    return dict(zip(all_patterns(k), counts.tolist()))
 
 
 def profile(tau: Sequence[int], k: int) -> Dict[Pattern, int]:

@@ -90,6 +90,13 @@ def _prefix_statistic(v: np.ndarray) -> int:
     return best
 
 
+def box_spread(Q: np.ndarray):
+    """max over rows a1 < a2 and columns b1 < b2 of
+    |Q[a2, b2] - Q[a2, b1] - Q[a1, b2] + Q[a1, b1]|: the largest spread of
+    a row difference, one vectorised sweep per a1."""
+    return max(np.ptp(Q[a1 + 1:] - Q[a1], axis=1).max() for a1 in range(len(Q) - 1))
+
+
 def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
     """Best interval pair with endpoints among the cuts 0 and
     ceil(i n / r), i = 1..r; at r = n that is every pair, so exact.
@@ -97,7 +104,7 @@ def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
     Q[i, j] = n * #{p < cuts[i] : v_p <= cuts[j]} - cuts[i] * cuts[j] comes
     from one 2-D histogram of (position, value) cut buckets and two
     cumulative sums.  For position cuts a1 < a2 the best value interval is
-    the spread of P = Q[a2] - Q[a1]; one vectorised sweep per a1.
+    the spread of P = Q[a2] - Q[a1], which ``box_spread`` sweeps.
     """
     n = len(v)
     r = max(2, min(resolution, n))
@@ -110,10 +117,7 @@ def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
     np.cumsum(Q, axis=1, out=Q)
     Q *= n
     Q -= np.outer(cuts, cuts)
-    best = 0
-    for i1 in range(m - 1):
-        P = Q[i1 + 1:] - Q[i1]
-        best = max(best, int((P.max(axis=1) - P.min(axis=1)).max()))
+    best = int(box_spread(Q))
     lower = best / n**2
     step = math.ceil(n / r)
     slack = 8.0 * step / n

@@ -26,12 +26,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import counting
+from .discrepancy import box_spread
 from .perms import Perm, mc_chunks, mc_hits
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _CDF_BLOCK = 1 << 18  # entries of the grid CDF table held at once
 GRID_EXACT_MAX_K = 4  # longest pattern with exact grid densities
+MC_MAX_K = 6  # longest pattern of the Monte Carlo histograms (k! bins)
 GRID_MULTISET_MAX = 100_000  # most cell multisets in one exact grid pass
 
 
@@ -51,7 +53,7 @@ def _frac(x) -> Fraction:
 
 def _check_unit(a: Fraction, name: str) -> Fraction:
     if not 0 <= a <= 1:
-        raise PermutonError(f"{name} = {float(a)} outside [0, 1]")
+        raise PermutonError(f"{name} = {a} outside [0, 1]")
     return a
 
 
@@ -522,14 +524,21 @@ def sample_perm(mu: Permuton, k: int, rng: np.random.Generator) -> Perm:
 
 def sample_patterns(mu: Permuton, k: int, count: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """count x k array of induced patterns of iid k-point draws.
+    """count x k array of induced patterns of iid k-point draws."""
+    return counting.row_ranks(_sample_rows(mu, k, count, rng))
+
+
+def _sample_rows(mu: Permuton, k: int, count: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """count x k array of the y-values of iid k-point draws, each row
+    ordered by x.
 
     Rows with coordinate ties (possible in floats, probability zero in the
     measure) are resampled as whole rows, at most 100 rounds.
     """
     if k < 1:
         raise PermutonError("k must be >= 1")
-    out = np.empty((count, k), dtype=np.int64)
+    out = np.empty((count, k))
     todo = np.arange(count)
     for _ in range(100):
         m = len(todo)
@@ -539,13 +548,12 @@ def sample_patterns(mu: Permuton, k: int, count: int,
         order = np.argsort(x, axis=1)
         xs = np.take_along_axis(x, order, axis=1)
         ys = np.take_along_axis(y, order, axis=1)
-        ranks = counting.row_ranks(ys)
         ysort = np.sort(y, axis=1)
         tied = (np.any(xs[:, 1:] == xs[:, :-1], axis=1)
                 | np.any(ysort[:, 1:] == ysort[:, :-1], axis=1)) if k > 1 else \
             np.zeros(m, dtype=bool)
         good = ~tied
-        out[todo[good]] = ranks[good]
+        out[todo[good]] = ys[good]
         todo = todo[tied]
         if len(todo) == 0:
             return out
@@ -566,22 +574,15 @@ def density_mc(pi, mu: Permuton, samples: int, seed: int) -> tuple[float, float]
 
 def pattern_histogram_mc(mu: Permuton, k: int, samples: int,
                          seed: int) -> dict[tuple[int, ...], int]:
-    """Counts of each length-k pattern over ``samples`` draws."""
-    base = k + 1
-    powers = np.array([base ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-    code_count: dict[int, int] = {}
+    """Counts of each length-k pattern, 1 <= k <= MC_MAX_K = 6, over
+    ``samples`` draws, keyed in ``counting.all_patterns(k)`` order."""
+    if not 1 <= k <= MC_MAX_K:
+        raise PermutonError(f"pattern histograms support 1 <= k <= {MC_MAX_K}")
+    counts = np.zeros(math.factorial(k), dtype=np.int64)
     for rng, m in mc_chunks(samples, seed):
-        codes = sample_patterns(mu, k, m, rng) @ powers
-        vals, cnts = np.unique(codes, return_counts=True)
-        for v, c in zip(vals, cnts):
-            code_count[int(v)] = code_count.get(int(v), 0) + int(c)
-    out: dict[tuple[int, ...], int] = {}
-    for p in counting.all_patterns(k):
-        code = 0
-        for r in p:
-            code = code * base + r
-        out[p] = code_count.get(code, 0)
-    return out
+        counts += np.bincount(counting.pattern_index(_sample_rows(mu, k, m, rng)),
+                              minlength=len(counts))
+    return dict(zip(counting.all_patterns(k), counts.tolist()))
 
 
 def event_prob_mc(mu: Permuton, rho, sigma, samples: int, seed: int) -> tuple[float, float]:
@@ -848,18 +849,11 @@ def discrepancy_permuton(mu: Permuton, resolution: int) -> PermutonDiscrepancy:
     if resolution < 2:
         raise PermutonError("resolution must be >= 2")
     r = resolution
-    F = cdf_grid(mu, r)
     ticks = np.linspace(0.0, 1.0, r + 1)
-    sup_dev = float(np.abs(F - ticks[:, None] * ticks[None, :]).max())
-    best = 0.0
-    for i1 in range(r):
-        width = ticks[i1 + 1:] - ticks[i1]
-        P = (F[i1 + 1:] - F[i1]) - width[:, None] * ticks[None, :]
-        spread = float((P.max(axis=1) - P.min(axis=1)).max())
-        if spread > best:
-            best = spread
+    D = cdf_grid(mu, r) - np.outer(ticks, ticks)
+    sup_dev = float(np.abs(D).max())
     return PermutonDiscrepancy(
-        lower=best,
+        lower=float(box_spread(D)),
         sup_dev=sup_dev,
         upper=4.0 * sup_dev,
         certified_upper=4.0 * (sup_dev + 2.0 / r),

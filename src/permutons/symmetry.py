@@ -24,8 +24,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import counting
-from .measures import GRID_EXACT_MAX_K, GridPermuton, Permuton, PermutonError, \
-    _flat_sums, from_perm, grid_densities, pattern_histogram_mc
+from .measures import GRID_EXACT_MAX_K, MC_MAX_K, GridPermuton, Permuton, \
+    PermutonError, _flat_sums, from_perm, grid_densities, pattern_histogram_mc
 from .perms import DEFAULT_SEED, Perm, binomial_ci99, defect_witness
 
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -57,8 +57,8 @@ def symmetry_defect(mu: Permuton, k: int, *, mode: str = "auto",
     verdicts; anything else (other measures, or k = 5, 6) is estimated by
     Monte Carlo with a per-pattern 99% half-width.
     """
-    if not 1 <= k <= 6:
-        raise PermutonError("symmetry defect supports 1 <= k <= 6")
+    if not 1 <= k <= MC_MAX_K:
+        raise PermutonError(f"symmetry defect supports 1 <= k <= {MC_MAX_K}")
     if mode not in ("auto", "exact", "mc"):
         raise PermutonError(f"unknown mode {mode!r}")
     can_exact = isinstance(mu, GridPermuton) and k <= GRID_EXACT_MAX_K

@@ -172,6 +172,8 @@ def test_usage_errors(capsys):
     assert code == 1 and "usage" in err
     code, _, err = run(capsys, "density", "1 2", "2 1", "--wibble")
     assert code == 1 and "usage" in err
+    code, _, err = run(capsys, "search-inflatable", "5", "3", "--threads", "2")
+    assert code == 1 and "error: unrecognized arguments: --threads 2" in err
 
 
 def test_missing_file(capsys):

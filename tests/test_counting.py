@@ -13,7 +13,8 @@ from permutons import (
 )
 from permutons import counting
 from permutons.counting import (
-    PROFILE3_MAX_N, PROFILE4_MAX_N, PermError, _check_exact_size, three_counts,
+    PROFILE3_MAX_N, PROFILE4_MAX_N, PermError, _check_exact_size, pattern_index,
+    three_counts,
 )
 
 
@@ -107,6 +108,26 @@ def test_profile_enum_path_k5():
     rng = np.random.default_rng(3)
     tau = tuple(int(v) + 1 for v in rng.permutation(9))
     assert profile(tau, 5) == profile_naive(tau, 5)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_profile_enum_across_chunk_boundaries(monkeypatch, k):
+    # 5-row blocks: C(n, k) is a multiple of 5 only at (n, k) = (10, 6), so
+    # every other call here ends on a partial block
+    monkeypatch.setattr(counting, "_CHUNK", 5)
+    for n in range(9, 13):
+        tau = tuple(int(v) + 1 for v in np.random.default_rng(n).permutation(n))
+        assert profile(tau, k) == profile_naive(tau, k), n
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_pattern_index_is_the_position_in_all_patterns(k):
+    pats = np.array(all_patterns(k), dtype=np.int64)
+    want = np.arange(math.factorial(k))
+    assert np.array_equal(pattern_index(pats), want)
+    # raw distinct values of any order-preserving map or dtype, no ranks
+    assert np.array_equal(pattern_index(10 * pats - 3), want)
+    assert np.array_equal(pattern_index(np.sqrt(pats) / 7.0), want)
 
 
 def test_occurrences_matches_naive():

@@ -39,8 +39,11 @@ MC = ("--mode", "mc", "--samples", "20000")
 CASES = {
     "densities-4": ("densities", "4", TAU12),
     "densities-4-tau200": ("densities", "4", TAU200),
+    "densities-5": ("densities", "5", TAU12),
+    "densities-6": ("densities", "6", TAU12),
     "density-exact": ("density", "1 3 2", TAU12),
     "density-mc": ("density", "1 3 2", TAU12, *MC),
+    "density-mc-tau200": ("density", "1 3 2", TAU200, *MC),
     "symmetry-balanced9-3": ("symmetry", BALANCED9, "3"),
     "symmetry-balanced9-4": ("symmetry", BALANCED9, "4"),
     "symmetry-perm40-4": ("symmetry", PERM40, "4"),
@@ -48,6 +51,8 @@ CASES = {
     "symmetry-flat2-4-csv": ("symmetry", FLAT2, "4", "--format", "csv"),
     "symmetry-window-3-mc": ("symmetry", WINDOW, "3", *MC),
     "symmetry-window-4-mc": ("symmetry", WINDOW, "4", *MC),
+    "symmetry-window-5-mc": ("symmetry", WINDOW, "5", *MC),
+    "sample-window-5": ("sample", WINDOW, "5", "20", "--seed", "7"),
     "inflatable-balanced9-3": ("inflatable", "4 3 8 9 5 1 2 7 6", "3"),
     "search-inflatable-6-3": ("search-inflatable", "6", "3"),
     "integrals-balanced9": ("integrals", BALANCED9),
@@ -59,6 +64,7 @@ CASES = {
     "identity-balanced9": ("identity", BALANCED9),
     "identity-flat2": ("identity", FLAT2),
     "permuton-density-exact": ("permuton-density", "2 1 3", BALANCED9),
+    "permuton-density-mc": ("permuton-density", "2 1 3", WINDOW, *MC),
 }
 
 GOLDEN = {
@@ -72,10 +78,16 @@ GOLDEN = {
         "c6b64ad99db107d99f3c665838723e5e77ecd789d30d724026471e1dddac1825",
     "densities-4-tau200":
         "ff61c7f74e0340d08bb90becb7f4cb7da73d3573a9d0c25264d995c939338896",
+    "densities-5":
+        "48cd148976e63c9cdb9a7dbe0d6db85ae816c27553d8b37456b2bf396fcabc43",
+    "densities-6":
+        "6e70404955d81b2811f287fe28b0d28f16aee375aa1cf9d0df5b8a141b69fd2b",
     "density-exact":
         "2609f191efb9a8c056764a757dd413c9793e416e452e27fd44dc99068abf544e",
     "density-mc":
         "ea0d6923298c2e0cb8848081f88c4e4e82416e9ded35dc846232e84008a9aa04",
+    "density-mc-tau200":
+        "c113b80e88fe62dbb9572dda38393235b6edafd1b610805d3ad180f16ad35a36",
     "identity-balanced9":
         "8c0eea0214b32157346354f938da825f6e53691dbaed7638e20bbfea2af2406a",
     "identity-flat2":
@@ -90,6 +102,10 @@ GOLDEN = {
         "91d76b6921ca216f43b308d76d8e769ec1cde98bf8e10ae2b230fed8f4ac1a3f",
     "permuton-density-exact":
         "0702b4bb4f22a8e4fc26d11ffda9bc755ef93f5ec8a4bf8f4ddf7433b3edfb5d",
+    "permuton-density-mc":
+        "ba2d0b3e41e9e07a09cc91839fc0d0b1dc7a3b833f0b44e95c5222c05d44655c",
+    "sample-window-5":
+        "2a2fc74d5a853c3adf59c5456b9665868133f35c0d062b295d10f536d176ff87",
     "search-inflatable-6-3":
         "d950b4e86f37941c3520e2f6072e72fac7dd04015e53cf27644030cfef1c1216",
     "symmetry-balanced9-3":
@@ -106,6 +122,8 @@ GOLDEN = {
         "825575de39d7a7062c9e694814b912b5d64517b925b3a9a5b6e91f1a3da5e4db",
     "symmetry-window-4-mc":
         "4e0aca86e83a61baababd1ea2ef0f40f342d7ac9b073ff3e6388d2f5b58c5723",
+    "symmetry-window-5-mc":
+        "cf3846febbf31b82737ecb211768d242b9095ccc644802150ee30d97bedfe4d5",
 }
 
 

@@ -121,6 +121,17 @@ def test_grid_cdf_known_values():
     assert moment(mu, 2, 2) == F(7, 144)
 
 
+def test_out_of_range_arguments_are_refused_with_their_exact_value():
+    # a value beyond the float range is reported, not converted to a float
+    huge = F(10**400)
+    with pytest.raises(PermutonError, match=r"a = 1000\d* outside \[0, 1\]"):
+        m_set(huge)
+    with pytest.raises(PermutonError, match=r"a = 1000\d* outside \[0, 1\]"):
+        cdf(uniform(), huge, 0)
+    with pytest.raises(PermutonError, match=r"^a = 3/2 outside \[0, 1\]$"):
+        m_set(F(3, 2))
+
+
 def test_m_set_cdf_center():
     assert cdf(m_set(F(0)), F(1, 2), F(1, 2)) == F(1, 4)
     # the whole lower-left diamond side sits inside the quarter square
@@ -284,6 +295,16 @@ def test_sample_perm_from_grid_matches_density():
     frac = hist[(1, 2)] / 40_000
     # t(12, mu_21) = 1/4
     assert abs(frac - 0.25) < 0.012
+
+
+@pytest.mark.parametrize("k", [0, 7, 12])
+def test_pattern_histogram_refuses_bad_k_before_any_draw(monkeypatch, k):
+    def no_draw(self, rng, count):
+        raise AssertionError("sampled before the k check")
+
+    monkeypatch.setattr(GridPermuton, "sample_xy", no_draw)
+    with pytest.raises(PermutonError, match="1 <= k <= 6"):
+        pattern_histogram_mc(uniform(), k, 1000, seed=1)
 
 
 def test_density_mc_agrees_with_exact():
