@@ -209,9 +209,9 @@ _SIG_MAP = {(asc, zi, zl): _zone_pattern(asc, zi, zl)
             for asc in (True, False) for zi in range(3) for zl in range(3) if zi != zl}
 
 
-def _ambiguous_pair(asc: bool, z: int) -> Tuple[Pattern, Pattern]:
-    """(first point below last, first above) for the two patterns of zone z."""
-    return _zone_pattern(asc, z, z, 0.1), _zone_pattern(asc, z, z, -0.1)
+# (first point below last, first above) for the two patterns of each shared zone
+_AMBIGUOUS = {(asc, z): (_zone_pattern(asc, z, z, 0.1), _zone_pattern(asc, z, z, -0.1))
+              for asc in (True, False) for z in range(3)}
 
 
 # the nonzero occ(sigma, pi), pi in S_4, per sigma in S_3.  Each occurrence of
@@ -314,7 +314,7 @@ def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
 
     # ambiguous classes: one pattern counted, its partner by subtraction
     def split(flag: bool, z: int, pat: Pattern, count: int) -> None:
-        for p in _ambiguous_pair(flag, z):
+        for p in _AMBIGUOUS[flag, z]:
             table[p] = count if p == pat else int(acc[flag][z, z]) - count
 
     split(True, 0, (1, 3, 4, 2), d1342)

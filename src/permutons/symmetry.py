@@ -10,7 +10,8 @@ Monte Carlo histograms, and take their defect and witness from
 ``perms.defect_witness``.  The S_n search scores each candidate with the
 flat-grid formula's integer terms, ``measures.FLAT_TERMS[3]``: t(pi, mu_tau)
 = 1/6 for all six pi exactly when every sum of w * occ_r(sigma) equals n^3,
-so the sweep runs entirely in int64 numpy batches.
+so the sweep runs entirely in int64 numpy batches; orders where no occ(12)
+lets every sum reach n^3 (all n <= 10 but 8 and 9) are never swept.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import counting
-from .measures import GRID_EXACT_MAX_K, MC_MAX_K, GridPermuton, Permuton, \
+from .measures import FLAT_TERMS, GRID_EXACT_MAX_K, MC_MAX_K, GridPermuton, Permuton, \
     PermutonError, _flat_sums, from_perm, grid_densities, pattern_histogram_mc
 from .perms import DEFAULT_SEED, Perm, binomial_ci99, defect_witness
 
@@ -127,6 +128,11 @@ def _perm_chunks(n: int) -> Iterable[np.ndarray]:
         yield block
 
 
+def _low_profiles(n: int, occ12) -> dict:
+    """The r <= 2 profiles of a length-n row with occ(12) = occ12."""
+    return {1: {(1,): n}, 2: {(1, 2): occ12, (2, 1): math.comb(n, 2) - occ12}}
+
+
 def _score_hits(v: np.ndarray) -> np.ndarray:
     """Rows whose flat grid measure is exactly 3-symmetric.  Each pattern's
     FLAT_TERMS[3] sum S gives t(pi, mu_tau) = S / (3! n^3), so t = 1/6 for
@@ -134,14 +140,30 @@ def _score_hits(v: np.ndarray) -> np.ndarray:
     1..n."""
     n = v.shape[1]
     a = np.tril(v[:, None, :] < v[:, :, None], -1).sum(2)  # [r, j]: i < j, v_i < v_j
-    occ12 = a.sum(1)
-    profiles = {1: {(1,): n},
-                2: {(1, 2): occ12, (2, 1): math.comb(n, 2) - occ12},
-                3: dict(zip(counting.all_patterns(3), counting.three_counts(v, a)))}
+    profiles = _low_profiles(n, a.sum(1))
+    profiles[3] = dict(zip(counting.all_patterns(3), counting.three_counts(v, a)))
     ok = np.ones(len(v), dtype=bool)
     for total in _flat_sums(profiles, 3).values():
         ok &= total == n ** 3
     return ok
+
+
+# the weight of pi's own occ_3 term, its only r = 3 term, in its FLAT_TERMS[3] sum
+_W3 = {pi: w for pi, terms in FLAT_TERMS[3].items() for r, _, w in terms if r == 3}
+
+
+def _order_conditions(n: int) -> dict:
+    """Per pattern pi, which occ(12) = a in 0..C(n, 2) leave n^3 less the r <= 2
+    terms of pi's FLAT_TERMS[3] sum a non-negative multiple of _W3[pi]."""
+    a = np.arange(math.comb(n, 2) + 1, dtype=np.int64)
+    rests = {pi: n ** 3 - low for pi, low in _flat_sums(_low_profiles(n, a), 3).items()}
+    return {pi: (rest >= 0) & (rest % _W3[pi] == 0) for pi, rest in rests.items()}
+
+
+def _order_admissible(n: int) -> bool:
+    """Whether some occ(12) meets every pattern's condition, as any row passing
+    _score_hits must: for n <= 200, exactly n = 0, 1 (mod 8) and 0, 1, 8 (mod 9)."""
+    return bool(np.logical_and.reduce(list(_order_conditions(n).values())).any())
 
 
 _ENCODE_BASE = 16
@@ -173,7 +195,8 @@ def search_inflatable(n: int, k: int, prune: bool = True,
                       threads: int = 1) -> list[Perm]:
     """All k-inflatable permutations in S_n, sorted lexicographically.
 
-    Exhaustive over n! candidates (n <= 10; n = 10 takes a few seconds),
+    Orders that fail _order_admissible (all n <= 10 but 8 and 9) return []
+    before enumeration; the rest are exhaustive over n! candidates,
     generated as numpy blocks of 8! rows that share a prefix.  With prune,
     only lexicographic minima of the 8-element reverse/complement/inverse
     orbits are scored and hits are expanded back to full orbits; the defect
@@ -187,6 +210,8 @@ def search_inflatable(n: int, k: int, prune: bool = True,
         raise PermutonError("search supports 2 <= n <= 10")
     if k not in (3, 4):
         raise PermutonError("search supports k = 3 or 4")
+    if not _order_admissible(n):
+        return []
 
     hits: list[tuple[int, ...]] = []
     for block in _perm_chunks(n):

@@ -175,7 +175,7 @@ def test_only_two_ambiguous_splits_follow_from_the_three_profile():
     diff = {}
     for flag in (True, False):
         for z in range(3):
-            lo, hi = counting._ambiguous_pair(flag, z)
+            lo, hi = counting._AMBIGUOUS[flag, z]
             diff[flag, z] = np.array([occ.get((s, lo), 0) - occ.get((s, hi), 0)
                                       for s in all_patterns(3)])
     assert np.linalg.matrix_rank(np.array(list(diff.values()))) == 2

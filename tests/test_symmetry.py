@@ -13,9 +13,11 @@ from permutons import (
     reflection_report, search_inflatable, symmetry_defect, uniform,
 )
 from permutons import symmetry as symmetry_module
+from permutons.counting import all_patterns, pattern_index
 from permutons.measures import FLAT_TERMS, _flat_sums, _multiset_densities
 from permutons.perms import defect_witness
-from permutons.symmetry import _perm_chunks, _score_hits
+from permutons.symmetry import _W3, _is_orbit_representative, _low_profiles, \
+    _order_admissible, _order_conditions, _perm_chunks, _score_hits
 
 from conftest import BALANCED_9
 
@@ -182,8 +184,85 @@ def test_search_k3_small_orders_empty(n):
 
 
 def test_search_prune_consistency():
-    assert search_inflatable(7, 3, prune=False) == search_inflatable(7, 3)
-    assert search_inflatable(7, 4, prune=False) == search_inflatable(7, 4)
+    # order 7 returns at the order gate; order 8 enumerates S_8 both ways
+    for n in (7, 8):
+        assert search_inflatable(n, 3, prune=False) == search_inflatable(n, 3)
+        assert search_inflatable(n, 4, prune=False) == search_inflatable(n, 4)
+
+
+def _occ_by_subsets(rows, r):
+    """occ_r of each pattern in all_patterns(r) per row, one column each,
+    counted over every r-subset of positions."""
+    out = np.zeros((len(rows), math.factorial(r)), dtype=np.int64)
+    for cols in itertools.combinations(range(rows.shape[1]), r):
+        out[np.arange(len(rows)), pattern_index(rows[:, cols])] += 1
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_order_gate_models_the_score_sums(monkeypatch, n):
+    # every sum _score_hits compares is _W3[pi] occ_3(pi) plus the r <= 2
+    # terms the gate takes at that row's own occ(12), on all of S_n
+    sums = []
+
+    def capture(profiles, k):
+        sums.append(_flat_sums(profiles, k))
+        return sums[-1]
+
+    monkeypatch.setattr(symmetry_module, "_flat_sums", capture)
+    rows = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    _score_hits(rows)
+    occ12 = _occ_by_subsets(rows, 2)[:, 0]
+    occ3 = _occ_by_subsets(rows, 3)
+    low = _flat_sums(_low_profiles(n, occ12), 3)
+    assert list(sums[-1]) == all_patterns(3)
+    for j, pi in enumerate(all_patterns(3)):
+        assert np.array_equal(_W3[pi] * occ3[:, j] + low[pi], sums[-1][pi]), pi
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_order_conditions_match_a_direct_search_per_pattern(n):
+    # pi's condition admits occ(12) = a exactly when some occ_3(pi) in
+    # 0..n^3 brings pi's FLAT_TERMS[3] sum to n^3
+    conds = _order_conditions(n)
+    assert list(conds) == all_patterns(3)
+    occ = np.arange(n ** 3 + 1)
+    for a in range(math.comb(n, 2) + 1):
+        profiles = {1: {(1,): n}, 2: {(1, 2): a, (2, 1): math.comb(n, 2) - a},
+                    3: dict.fromkeys(all_patterns(3), occ)}
+        for pi, total in _flat_sums(profiles, 3).items():
+            assert conds[pi][a] == (total == n ** 3).any(), (a, pi)
+
+
+def test_order_gate_follows_the_congruences():
+    assert [n for n in range(2, 26) if _order_admissible(n)] == [8, 9, 17]
+    for n in range(2, 201):
+        assert _order_admissible(n) == (n % 8 in (0, 1) and n % 9 in (0, 1, 8)), n
+
+
+def test_ruled_out_orders_skip_enumeration(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"S_{n} enumerated")
+
+    monkeypatch.setattr(symmetry_module, "_perm_chunks", refuse)
+    for n, k in itertools.product((*range(2, 8), 10), (3, 4)):
+        assert search_inflatable(n, k) == []
+        assert search_inflatable(n, k, prune=False) == []
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_ruled_out_small_orders_have_no_score_hit(n):
+    rows = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    assert not _order_admissible(n)
+    assert not _score_hits(rows).any()
+
+
+def test_order_10_has_no_score_hit():
+    # the exhaustive oracle behind the gate's verdict on order 10: one pass
+    # over the orbit representatives of S_10, the rows a pruned search scores
+    assert not _order_admissible(10)
+    for block in _perm_chunks(10):
+        assert not _score_hits(block[_is_orbit_representative(block)]).any()
 
 
 def test_search_threads_consistency():
