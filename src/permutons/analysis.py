@@ -161,7 +161,7 @@ def _grid_cell_integrals(mu: GridPermuton) -> dict[str, Fraction]:
         for j in range(1, n + 1):
             rowsum += dense[i][j]
             F[i][j] = F[i - 1][j] + rowsum
-    i1 = i2 = i3 = L = _ZERO
+    i1 = i2 = i3 = _ZERO
     third = Fraction(1, 3)
     for i in range(1, n + 1):
         P = i - 1
@@ -182,9 +182,20 @@ def _grid_cell_integrals(mu: GridPermuton) -> dict[str, Fraction]:
             i1 += D * e2
             i3 += e2
             i2 += D * bracket
-            L += bracket
     n2 = Fraction(1, n * n)
-    return {"i1": i1, "i2": i2 * n2, "i3": i3 * n2, "L": L * n2 * n2}
+    return {"i1": i1, "i2": i2 * n2, "i3": i3 * n2}
+
+
+def _grid_l(mu: GridPermuton) -> Fraction:
+    """L = int F(x,y) x y dlambda, in O(cells).
+
+    F = sum m_ij phi(nx - a) phi(ny - b) with 0-based a = i - 1, b = j - 1
+    and phi = clamp(., 0, 1), so L = sum m_ij A(a) A(b), where
+    A(a) = int_0^1 phi(nx - a) x dx = (1 - (a + 1)^2/n^2)/2 + (a/2 + 1/3)/n^2.
+    """
+    n2 = mu.n * mu.n
+    A = [Fraction(3 * (n2 - (a + 1) ** 2) + 3 * a + 2, 6 * n2) for a in range(mu.n)]
+    return sum((m * A[i - 1] * A[j - 1] for (i, j), m in mu.cells.items()), _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +306,15 @@ class IdentityReport:
 def identity_check(mu: Permuton, budget: Budget | None = None) -> IdentityReport:
     """Universal moment identity; the right side is always an exact moment.
 
-    The left side is an exact cell sweep on grids with n <= 300, a Monte
-    Carlo mean otherwise; mode="exact" refuses measures without the sweep.
+    The left side is exact on grids with n <= 300, a sum over cells of the
+    integrated CDF (_grid_l), and a Monte Carlo mean otherwise;
+    mode="exact" refuses measures without the exact path.
     """
     budget = budget or Budget()
     exact = _exact_grid_path(mu, budget, "exact identity check needs")
     rhs = (1 - moment(mu, 2, 0) - moment(mu, 0, 2) + moment(mu, 2, 2)) / 4
     if exact:
-        lhs = _grid_cell_integrals(mu)["L"]
+        lhs = _grid_l(mu)
         return IdentityReport(lhs=lhs, rhs=rhs, error_radius=0.0, exact=True)
     (lhs, ci) = _mc_lambda_integral(mu, budget.samples,
                                     _child_seeds(budget.seed, 3)[2], square=False)

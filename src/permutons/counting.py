@@ -2,17 +2,19 @@
 
 ``profile(tau, k)`` returns occurrence counts of every length-k pattern:
 k <= 2 and k = 3 run in O(n log n) from per-position quadrant statistics,
-k = 4 in O(n^2) via one vectorized sweep over middle pairs, with two
-splits read off the 3-profile.  k = 5, 6 fall back to chunked subset
-enumeration (|tau| <= 60), tallied by ``np.bincount`` of ``pattern_index``,
-the row-to-pattern index shared with the Monte Carlo histogram.
+k = 4 in O(n^2) via one sweep over middle pairs, taken in blocks of
+consecutive middle positions as 2-D tables, with two splits read off the
+3-profile.  k = 5, 6 fall back to chunked subset enumeration (|tau| <= 60),
+tallied by ``np.bincount`` of ``pattern_index``, the row-to-pattern index
+shared with the Monte Carlo histogram.
 ``three_counts`` is the k = 3 formula over the last axis of a batch, shared
 with the S_n search and the k = 4 engine.
 ``profile_naive`` is the independent oracle used by the test suite; the fast
 paths must agree with it exactly.
 
 All counts are Python ints (the numpy accumulators stay below 2^63 for
-n <= 10^4: the largest intermediate is bounded by n * C(n, 3) < 2^61).
+n <= 10^4: the largest is bounded by n^4 < 2^54, and each k = 4 block
+sums at most 2^14 products of at most n^2, exactly in float64).
 ``_check_exact_size`` is the one table of the sizes the engines take:
 k <= 6, |tau| <= 60 for k = 5, 6, PROFILE4_MAX_N = 10^4 for k = 4 and
 PROFILE3_MAX_N = 3 * 10^6 for k = 3 (C(n, 3) passes 2^63 near 3.8 * 10^6).
@@ -239,7 +241,18 @@ def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
     counts one pattern of four such pairs; the 3-profile, from the same
     dominance count, gives 3124 (sigma = 213) and 1432 (sigma = 132) through
     the _OCC3_IN4 relations, and all six relations are checked at the end.
-    Partners follow by subtraction.  All arithmetic is int64-exact.
+    Partners follow by subtraction.
+
+    The sweep takes B = _SWEEP_CELLS // n consecutive middle positions j at
+    a time (at least one) and every k > j as one (B, n - j0 - 1) table, so
+    the interpreter cost is paid per block, not per position.  Per entry it
+    needs Q = #{i < j : v_i < v_k}, from a running row plus a cumulative sum
+    down the block, and R = #{j < p <= k : v_p < v_j}, a cumulative sum
+    along it.  Each block's sums are two float64 matrix products (BLAS):
+    every factor is an integer count of at most n and a block holds at most
+    max(_SWEEP_CELLS, n) = 2^14 entries for n <= 10^4, so a block's partial
+    sums stay below 2^14 * n^2 < 2^41 < 2^53 and are exact.  They
+    accumulate in int64, where the totals are quadruple counts below n^4.
     """
     n = len(tau)
     table: Dict[Pattern, int] = {p: 0 for p in all_patterns(4)}
@@ -247,67 +260,42 @@ def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
         return table
     v = np.asarray(tau, dtype=np.int64)
     c_self = left_smaller_counts(v)       # c_self[p] = #{q < p: v_q < v_p}
-    pos = np.arange(n, dtype=np.int64)
+    cols = (np.arange(n, dtype=float), v.astype(float), c_self.astype(float))
 
-    acc = {True: np.zeros((3, 3), dtype=np.int64),
-           False: np.zeros((3, 3), dtype=np.int64)}
-    d1342 = d2143 = d3412 = d3214 = 0
+    # acc[asc][a, b]: left zone a times right zone b (0..2), then two
+    # disambiguator factors; a zone is (below, between, above) the middle pair
+    acc = {True: np.zeros((3, 5), dtype=np.int64),
+           False: np.zeros((3, 5), dtype=np.int64)}
+    q_run = np.zeros(n)                   # q_run[k] = #{i < j0 : v_i < v_k}
+    rows = max(1, _SWEEP_CELLS // n)
+    for j0 in range(0, n - 1, rows):
+        j, vj, cj = (x[j0:j0 + rows, None] for x in cols)
+        k, vk, ck = (x[j0 + 1:] for x in cols)
+        asc = vk > vj
+        pair = k > j
+        Q = np.cumsum(asc, axis=0, dtype=float)
+        Q -= asc
+        Q += q_run[j0 + 1:]
+        q_run[j0 + 1:] = Q[-1] + asc[-1]
+        R = np.cumsum(pair > asc, axis=1, dtype=float)
+        P = cj + R                        # p <= k with v_p < v_j
+        left = np.empty((3,) + Q.shape)
+        right = np.empty((5,) + Q.shape)
 
-    # one prefix-count array over values, rebuilt incrementally:
-    # cnt_lt[x] = #{i < j : v_i < x}
-    cnt_lt = np.zeros(n + 2, dtype=np.int64)
-    for j in range(n - 1):
-        vj = int(v[j])
-        later = v[j + 1:]
-        kk = pos[j + 1:]
-        asc = later > vj
-        m = np.where(asc, vj, later)
-        M = np.where(asc, later, vj)
+        # v_j < v_k.  The last two factors read the column as the last
+        # point l and j as the second: 2143 (k above l), 3214 (k below j)
+        left[0], left[1], left[2] = cj, Q - cj, j - Q
+        left *= asc & pair
+        right[0], right[1], right[2] = vj - 1 - P, vk - ck - vj + P, n - vk - k + ck
+        right[3], right[4] = k - ck - j + Q, R
+        acc[True] += (left.reshape(3, -1) @ right.reshape(5, -1).T).astype(np.int64)
 
-        # left zone counts over i < j
-        L_low = cnt_lt[m]
-        L_mid = cnt_lt[M] - cnt_lt[m]
-        L_high = j - cnt_lt[M]
-
-        # suffix zone counts over l > position of the later element
-        cum_vj = np.cumsum(v < vj)        # inclusive prefix of values < v_j
-        C_m = np.where(asc, cum_vj[j + 1:], c_self[j + 1:])
-        C_M = np.where(asc, c_self[j + 1:], cum_vj[j + 1:])
-        S_low = (m - 1) - C_m
-        S_mid = (M - m) - (C_M - C_m)
-        S_high = n - M - kk + C_M
-
-        Lmat = np.stack((L_low, L_mid, L_high))
-        Smat = np.stack((S_low, S_mid, S_high))
-        for flag in (True, False):
-            mask = asc if flag else ~asc
-            if mask.any():
-                acc[flag] += Lmat[:, mask] @ Smat[:, mask].T
-
-        # disambiguators with j as the second position of the quadruple
-        vl = later
-        G = np.cumsum(v > vj)
-        W = cum_vj
-        below = ~asc                      # v_l < v_j
-        if below.any():
-            lpos = kk[below]
-            vlb = vl[below]
-            # 1342: i below l, k above j, i<j<k<l
-            d1342 += int((cnt_lt[vlb] * (G[lpos - 1] - G[j])).sum())
-            # 3412: i strictly between l and j in value, k below l
-            d3412 += int(((cnt_lt[vj] - cnt_lt[vlb])
-                          * (c_self[lpos] - cnt_lt[vlb])).sum())
-        above = asc                       # v_l > v_j
-        if above.any():
-            lpos = kk[above]
-            vla = vl[above]
-            mid_i = cnt_lt[vla] - cnt_lt[vj]
-            # 2143: k above l
-            d2143 += int((mid_i * (lpos - j - c_self[lpos] + cnt_lt[vla])).sum())
-            # 3214: k below j
-            d3214 += int((mid_i * (W[lpos - 1] - W[j])).sum())
-
-        cnt_lt[vj + 1:] += 1
+        # v_j > v_k; as above, 1342 (i below l, k above j), 3412 (k below l)
+        left[0], left[1], left[2] = Q, cj - Q, j - cj
+        left *= pair > asc
+        right[0], right[1], right[2] = vk - 1 - ck, vj - cj - vk + ck - R, n - vj - k + P
+        right[3], right[4] = k - j - R, ck - Q
+        acc[False] += (left.reshape(3, -1) @ right.reshape(5, -1).T).astype(np.int64)
 
     for (flag, zi, zl), pat in _SIG_MAP.items():
         table[pat] = int(acc[flag][zi, zl])
@@ -317,10 +305,10 @@ def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
         for p in _AMBIGUOUS[flag, z]:
             table[p] = count if p == pat else int(acc[flag][z, z]) - count
 
-    split(True, 0, (1, 3, 4, 2), d1342)
-    split(True, 1, (2, 1, 4, 3), d2143)
-    split(False, 1, (3, 4, 1, 2), d3412)
-    split(False, 2, (3, 2, 1, 4), d3214)
+    split(True, 0, (1, 3, 4, 2), int(acc[False][0, 3]))
+    split(True, 1, (2, 1, 4, 3), int(acc[True][1, 3]))
+    split(False, 1, (3, 4, 1, 2), int(acc[False][1, 4]))
+    split(False, 2, (3, 2, 1, 4), int(acc[True][1, 4]))
 
     # the last two from the 3-profile: with 3124 = 1432 = 0 placed, the 213
     # gap is (occ(213, 3124) - occ(213, 4123)) N4(3124) = 2 N4(3124), as 1432
@@ -337,6 +325,7 @@ def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
     return table
 
 
+_SWEEP_CELLS = 1 << 14   # entries per block of the 4-profile sweep
 _CHUNK = 1 << 19
 
 

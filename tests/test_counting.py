@@ -120,6 +120,31 @@ def test_profile_enum_across_chunk_boundaries(monkeypatch, k):
         assert profile(tau, k) == profile_naive(tau, k), n
 
 
+def test_profile4_across_block_boundaries(monkeypatch):
+    # blocks of 1, 2 and 3 middle positions over the n - 1 positions that
+    # have a later one: for b = 2, 3 the last block is full at some n here
+    # and partial at the others
+    for n in range(4, 41):
+        tau = tuple(int(v) + 1 for v in np.random.default_rng(n).permutation(n))
+        want = profile_naive(tau, 4)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(counting, "_SWEEP_CELLS", rows * n)
+            assert profile(tau, 4) == want, (n, rows)
+
+
+def test_profile4_memory_is_bounded():
+    # blocks of _SWEEP_CELLS entries, not n x n tables: 72 MB at n = 3000;
+    # the blocked sweep peaks near 2.1 MB
+    tau = tuple(int(v) + 1 for v in np.random.default_rng(8).permutation(3000))
+    tracemalloc.start()
+    try:
+        profile(tau, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
+
+
 @pytest.mark.parametrize("k", range(1, 8))
 def test_pattern_index_is_the_position_in_all_patterns(k):
     pats = np.array(all_patterns(k), dtype=np.int64)

@@ -269,7 +269,36 @@ def test_nonpermutation_grids_keep_the_cell_sweep():
 
 
 def test_cell_sweep_returns_only_what_its_callers_read():
-    assert set(_grid_cell_integrals(from_perm(Perm((2, 1))))) == {"i1", "i2", "i3", "L"}
+    assert set(_grid_cell_integrals(from_perm(Perm((2, 1))))) == {"i1", "i2", "i3"}
+
+
+def _l_by_cells(mu) -> Fraction:
+    """int F x y dlambda cell by cell: F is bilinear on each lattice cell,
+    with corner values from mu.cdf."""
+    n = mu.n
+    total = F(0)
+    for a in range(n):
+        for b in range(n):
+            f00, f10, f01, f11 = (mu.cdf(F(a + s, n), F(b + t, n))
+                                  for s, t in ((0, 0), (1, 0), (0, 1), (1, 1)))
+            # int_0^1 (a + u) du and int_0^1 u (a + u) du, likewise in b
+            pa, qa, pb, qb = F(2 * a + 1, 2), F(3 * a + 2, 6), F(2 * b + 1, 2), F(3 * b + 2, 6)
+            total += (f00 * pa * pb + (f10 - f00) * qa * pb + (f01 - f00) * pa * qb
+                      + (f11 - f10 - f01 + f00) * qa * qb)
+    return total / n ** 4
+
+
+def test_identity_lhs_integrates_the_cdf_on_every_grid(monkeypatch):
+    def refuse(mu):
+        raise AssertionError("cell sweep in identity_check")
+
+    monkeypatch.setattr(analysis, "_grid_cell_integrals", refuse)
+    rng = np.random.default_rng(12)
+    grids = [from_perm(random_perm(rng, n)) for n in (1, 2, 5, 12)]
+    grids += [_average_grid(rng, 3, 2), _average_grid(rng, 6, 3), uniform()]
+    for mu in grids:
+        rep = identity_check(mu)
+        assert rep.exact and rep.lhs == _l_by_cells(mu) == rep.rhs, mu.n
 
 
 def test_exact_mode_refusals_name_the_grid_limit():
