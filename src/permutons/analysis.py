@@ -11,8 +11,8 @@ This module evaluates
   measure;
 * the six-term inequality chain that starts and ends at 1/81 and applies
   Cauchy-Schwarz twice, with the per-step slacks;
-* exact t(id3, .) for segment permutons by polytope volumes, the root b
-  with t(id3, m_set(b)) = 1/6, and the analogous mixture weight;
+* exact t(id3, .) for segment permutons by polytope volumes (a cubic on
+  m_set(a)), the root b of t(id3, m_set(b)) = 1/6, and the mixture weight;
 * sampled-permutation convergence tables and the CDF sandwich check.
 
 Each of i1, i2, i3 is the probability of a fixed event on four iid
@@ -49,9 +49,8 @@ import numpy as np
 from .counting import all_patterns
 from .discrepancy import discrepancy
 from .measures import (
-    GridPermuton, MixturePermuton, Permuton, PermutonError, SegmentPermuton,
-    Segment, cdf_many, discrepancy_permuton, from_perm,
-    grid_densities, m_set, moment, sample_patterns,
+    GridPermuton, MixturePermuton, Permuton, Segment, _check_unit, _frac, cdf_many,
+    discrepancy_permuton, grid_densities, m_set, moment, sample_patterns,
 )
 from .perms import DEFAULT_SEED, Perm, all_densities, mc_chunks, mean_ci99
 
@@ -408,7 +407,8 @@ def cs_chain(mu: Permuton, budget: Budget | None = None) -> ChainReport:
 # parameters, the event x_a < x_b < x_c and y_a < y_b < y_c cuts a polytope
 # out of the parameter cube.  Conditioning on t_b, the admissible t_a and
 # t_c sets are intervals whose lengths are piecewise affine in t_b, so the
-# volume is an exact piecewise-quadratic integral.
+# volume is an exact piecewise-quadratic integral.  On m_set(a) the volumes
+# sum to the cubic of t_id3_segment; find_nu and the tests still read them.
 
 _AffinePieces = list[tuple[Fraction, Fraction, Fraction, Fraction]]
 
@@ -511,10 +511,19 @@ def _id3_from_masses(table, masses: Sequence[Fraction]) -> Fraction:
 
 
 def t_id3_segment(a) -> Fraction:
-    """t(id3, m_set(a)), exactly, from polytope volumes."""
-    mu = m_set(a)
-    table = _id3_volume_table(mu.segments)
-    return _id3_from_masses(table, [s.mass for s in mu.segments])
+    """t(id3, m_set(a)) = (4 - 3a + a^3)/16 exactly, a in [0, 1].
+
+    * Every m_set(a) has total x-extent 4 (four lines of a/2, four of
+      1 - a/2), so the masses a/8 and (2 - a)/8 are affine in a.
+    * Every slope is +-1, so the uniform segment parameter is uniform in x:
+      a mass product times a parameter-space volume is an x-space volume / 64.
+    * Those polytopes have fixed facet normals and offsets affine in a, so t
+      is piecewise cubic.  The pieces of _pair_pieces change inside (0, 1)
+      only at 2/3; the tests pin both chambers to this cubic against the
+      volume table.  So b (t = 1/6) solves 3b^3 - 9b + 4 = 0, b ~ 0.481702.
+    """
+    a = _check_unit(_frac(a), "a")
+    return (4 - 3 * a + a ** 3) / 16
 
 
 # ---------------------------------------------------------------------------
@@ -594,24 +603,22 @@ def find_nu(tol: float = 1e-5) -> RootResult:
     """Mixture weight a for which a*m_set(0) + (1-a)*m_set(1) has
     t(id3) = 1/6.
 
-    t(id3, nu_a) is a cubic in a (triples mix components), assembled from
-    one exact volume table over the union support, then solved by the same
-    scan-and-bisect as find_b.
+    t(id3, nu_a) = 6 sum w w w vol over the union support's volume table,
+    w = a * mass on m_set(0)'s segments and (1-a) * mass on m_set(1)'s: the
+    cubic sum_j C_j a^j (1-a)^(3-j), C_j over the triples holding j segments
+    of m_set(0), solved by the scan-and-bisect of find_b.
     """
     if tol <= 0:
         raise AnalysisError("tol must be positive")
     seg0 = m_set(0).segments
-    seg1 = m_set(1).segments
-    union = list(seg0) + list(seg1)
-    table = _id3_volume_table(union)
-    # weight of each union segment: a * mass (from m_set(0)) or (1-a) * mass
-    n0 = len(seg0)
-
-    def weights(aa: Fraction) -> list[Fraction]:
-        return [s.mass * aa for s in seg0] + [s.mass * (1 - aa) for s in seg1]
+    union = seg0 + m_set(1).segments
+    coeffs = [_ZERO] * 4
+    for (ia, ib, ic), vol in _id3_volume_table(union).items():
+        j = (ia < len(seg0)) + (ib < len(seg0)) + (ic < len(seg0))
+        coeffs[j] += 6 * union[ia].mass * union[ib].mass * union[ic].mass * vol
 
     def g(aa: Fraction) -> Fraction:
-        return _id3_from_masses(table, weights(aa))
+        return sum(c * aa ** j * (1 - aa) ** (3 - j) for j, c in enumerate(coeffs))
 
     return _bracket_and_bisect(g, tol, "nu weight")
 

@@ -69,6 +69,8 @@ class Perm:
     """
 
     images: tuple[int, ...]
+    # density_exact's memo of counting.profile(images, k), keyed by k
+    _profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.images)
@@ -229,8 +231,9 @@ def density_exact(pi: Perm, tau: Perm) -> Fraction:
     k, n = len(pi), len(tau)
     if k > n:
         raise PermError(f"pattern length {k} exceeds |tau| = {n}")
-    occ = counting.occurrences(pi.images, tau.images)
-    return Fraction(occ, math.comb(n, k))
+    if k not in tau._profiles:
+        tau._profiles[k] = counting.profile(tau.images, k)
+    return Fraction(tau._profiles[k][pi.images], math.comb(n, k))
 
 
 def all_densities(k: int, tau: Perm) -> DensityReport:

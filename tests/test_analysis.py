@@ -1,6 +1,8 @@
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,11 @@ from permutons import (
     AnalysisError, BracketingError, Budget, Perm, cs_chain, density_mc,
     find_b, find_nu, from_perm, identity_check, lemma_integrals, m_set,
     nu_mixture, prefix_bound_check, t_id3_segment, uniform,
-    convergence_experiment,
+    convergence_experiment, PermutonError,
 )
-from permutons.analysis import _bracket_and_bisect
+from permutons.analysis import (
+    RootResult, _bracket_and_bisect, _id3_from_masses, _id3_volume_table,
+)
 
 F = Fraction
 ID3 = Perm((1, 2, 3))
@@ -123,6 +127,48 @@ def test_id3_segment_exact_values():
     assert t_id3_segment(F(0)) == F(1, 4)
     assert t_id3_segment(F(1)) == F(1, 8)
     assert t_id3_segment(F(1, 2)) == F(21, 128)
+
+
+def test_id3_closed_form_matches_the_volume_engine():
+    # a = i/24 crosses the chamber wall at 2/3; the rest are off-grid rationals
+    rng = np.random.default_rng(2024)
+    points = [F(i, 24) for i in range(25)] + [F(3083, 6400)]
+    for _ in range(10):
+        den = int(rng.integers(2, 10 ** 6 + 1))
+        points.append(F(int(rng.integers(0, den + 1)), den))
+    for a in points:
+        segs = m_set(a).segments
+        oracle = _id3_from_masses(_id3_volume_table(segs), [s.mass for s in segs])
+        assert t_id3_segment(a) == oracle == (4 - 3 * a + a ** 3) / 16
+
+
+def test_id3_segment_refuses_what_m_set_refuses():
+    for bad in (F(3, 2), "x"):
+        with pytest.raises(PermutonError) as want:
+            m_set(bad)
+        with pytest.raises(PermutonError) as got:
+            t_id3_segment(bad)
+        assert str(got.value) == str(want.value)
+
+
+def _scan_digest(r: RootResult) -> str:
+    return hashlib.sha256(repr(r.scan).encode()).hexdigest()
+
+
+def test_find_b_and_find_nu_results_are_pinned():
+    # recorded from the polytope-volume engine before t(id3, m_set(a)) and
+    # the nu cubic were evaluated in closed form
+    b = find_b()
+    assert (b.value, b.t_value, b.evaluations, b.bracket) == (
+        F(3083, 6400), F(699040532787, 4194304000000), 56,
+        (F(1541, 3200), F(3083, 6400)))
+    assert len(b.scan) == 50 and _scan_digest(b) == (
+        "4b0f1102dc2684915c1076e006658a30777ad55030bb59bfac63c5cdb0a92b74")
+    nu = find_nu()
+    assert (nu.value, nu.t_value, nu.evaluations, nu.bracket) == (
+        F(183, 400), F(426689, 2560000), 49, (F(91, 200), F(183, 400)))
+    assert len(nu.scan) == 47 and _scan_digest(nu) == (
+        "e37c91c283ba8fcd0173a7402b9bd6e1eeef1d66bbd6fc1d851c6f46511af42e")
 
 
 def test_id3_mc_agrees_with_exact():

@@ -65,6 +65,8 @@ CASES = {
     "identity-flat2": ("identity", FLAT2),
     "permuton-density-exact": ("permuton-density", "2 1 3", BALANCED9),
     "permuton-density-mc": ("permuton-density", "2 1 3", WINDOW, *MC),
+    "find-b": ("find-b",),
+    "find-nu": ("find-nu",),
 }
 
 GOLDEN = {
@@ -88,6 +90,10 @@ GOLDEN = {
         "ea0d6923298c2e0cb8848081f88c4e4e82416e9ded35dc846232e84008a9aa04",
     "density-mc-tau200":
         "c113b80e88fe62dbb9572dda38393235b6edafd1b610805d3ad180f16ad35a36",
+    "find-b":
+        "b49ffd99771c98dcfe08973e26a8022e8d048bb77a781da37807e9e81b35fb34",
+    "find-nu":
+        "460290c5e1af6b2671a6aa4b6e0fbced04f80615b1130f218039bd9bcaef6322",
     "identity-balanced9":
         "8c0eea0214b32157346354f938da825f6e53691dbaed7638e20bbfea2af2406a",
     "identity-flat2":

@@ -109,6 +109,35 @@ def test_densities_defect_and_witness():
     assert rep.entries[Perm((3, 2, 1))] == 0
 
 
+def test_density_exact_profiles_each_host_and_length_once(monkeypatch):
+    calls = {}
+    real = counting.profile
+
+    def counted(tau, k):
+        calls[(tuple(tau), k)] = calls.get((tuple(tau), k), 0) + 1
+        return real(tau, k)
+
+    monkeypatch.setattr(counting, "profile", counted)
+    rng = np.random.default_rng(31)
+    for n in range(4, 13):
+        tau = Perm(tuple(int(v) + 1 for v in rng.permutation(n)))
+        for k in range(1, 5):
+            for p in counting.all_patterns(k):
+                want = F(counting.occurrences_naive(p, tau.images), math.comb(n, k))
+                assert density_exact(Perm(p), tau) == want
+    assert len(calls) == 9 * 4 and set(calls.values()) == {1}
+
+
+def test_profile_memo_leaves_perm_identity_alone():
+    tau = Perm((2, 4, 1, 5, 3))
+    fresh = Perm((2, 4, 1, 5, 3))
+    density_exact(Perm((1, 2, 3)), tau)
+    assert tau._profiles and not fresh._profiles
+    assert tau == fresh and hash(tau) == hash(fresh)
+    assert repr(tau) == "Perm((2, 4, 1, 5, 3))"
+    assert {tau: 1}[fresh] == 1 and not tau < fresh
+
+
 def test_exact_size_limits_are_validation_errors():
     big = Perm(tuple(range(1, 10_002)))
     with pytest.raises(PermError, match="10000"):
