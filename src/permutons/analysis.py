@@ -28,12 +28,13 @@ densities.  The coefficient of pi is the fraction of the 24 labelings of
 pi's points by P0..P3 that satisfy the event; the vectors are generated
 from the events in code (_LEMMA_COEFFICIENTS), not typed in.
 
-Grid permutons get exact rational values throughout: flat grids of a
-permutation (n <= 300) through the 4-pattern densities, other grids
-through the cell sweep (the CDF is bilinear on each lattice cell).  Other
-permutons use Monte Carlo with reported 99% half-widths, except
-int F^2 dlambda which uses a midpoint rule (F is 1-Lipschitz in each
-coordinate, so the resolution-r error is below 2/r).
+Grid permutons (n <= 300) get exact rational values from one integer
+sweep over the lattice cells, on which the CDF is bilinear; the
+event coefficients applied to the exact 4-pattern densities
+(_event_integrals) are its test oracle.  Other permutons use Monte Carlo
+with reported 99% half-widths, except int F^2 dlambda which uses a
+midpoint rule (F is 1-Lipschitz in each coordinate, so the resolution-r
+error is below 2/r).
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ _LEMMA_COEFFICIENTS = {name: _event_coefficients(event)
                        for name, event in _LEMMA_EVENTS.items()}
 
 
-def _flat_grid_integrals(mu: GridPermuton) -> tuple[Fraction, ...]:
-    """(i1, i2, i3) as the coefficient vectors applied to t(., mu), |.| = 4."""
+def _event_integrals(mu: GridPermuton) -> tuple[Fraction, ...]:
+    """(i1, i2, i3) as the coefficient vectors applied to t(., mu), |.| = 4;
+    the oracle for _grid_cell_integrals, not called at run time."""
     dens = grid_densities(mu, 4)
     return tuple(sum(c * dens[pi] for pi, c in _LEMMA_COEFFICIENTS[name].items())
                  for name in ("i1", "i2", "i3"))
@@ -141,9 +143,17 @@ def _flat_grid_integrals(mu: GridPermuton) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # exact cell integrals for grids
 #
-# Within lattice cell (i0, j0) the CDF is bilinear: with local coordinates
-# u, v in [0,1] and corner values taken from the prefix-sum grid,
-# F = A + B u + C v + D u v, and D equals the cell mass.
+# Within lattice cell (p, q) (0-based) the CDF is bilinear: with local
+# coordinates u, v in [0,1], F = (a + b u + c v + d u v) / D, where D is the
+# lcm of the mass denominators, a = D F at the cell's lower-left corner, b
+# (c) is D times the mass below (left of) the cell in its x-strip (y-strip),
+# and d is D times the cell mass.  Integrating over the cell gives
+#   int F^2 = E / (18 D^2 n^2),
+#   E = 18a^2 + 6b^2 + 6c^2 + 2d^2 + 18ab + 18ac + 9ad + 9bc + 6bd + 6cd,
+#   int F x y = G / (36 D n^4),
+#   G = 9a(2p+1)(2q+1) + 3b(3p+2)(2q+1) + 3c(2p+1)(3q+2) + d(3p+2)(3q+2),
+# and the cell's mass density is d n^2 / D, so i1 = sum d E / (18 D^3),
+# i2 = sum d G / (36 D^2 n^2), i3 = sum E / (18 D^2 n^2), all in integers.
 
 
 def _grid_cell_integrals(mu: GridPermuton) -> dict[str, Fraction]:
@@ -151,38 +161,34 @@ def _grid_cell_integrals(mu: GridPermuton) -> dict[str, Fraction]:
     if n > EXACT_GRID_LIMIT:
         raise AnalysisError(
             f"exact grid integrals support n <= {EXACT_GRID_LIMIT}")
-    dense = [[_ZERO] * (n + 1) for _ in range(n + 1)]
-    for (i, j), m in mu.cells.items():
-        dense[i][j] = m
-    F = [[_ZERO] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        rowsum = _ZERO
-        for j in range(1, n + 1):
-            rowsum += dense[i][j]
-            F[i][j] = F[i - 1][j] + rowsum
-    i1 = i2 = i3 = _ZERO
-    third = Fraction(1, 3)
-    for i in range(1, n + 1):
-        P = i - 1
-        px = Fraction(2 * P + 1, 2)       # P + 1/2
-        qx = Fraction(P, 2) + third       # P/2 + 1/3
-        for j in range(1, n + 1):
-            Q = j - 1
-            A = F[i - 1][j - 1]
-            B = F[i][j - 1] - A
-            C = F[i - 1][j] - A
-            D = dense[i][j]
-            e2 = (A * A + B * B / 3 + C * C / 3 + D * D / 9
-                  + A * B + A * C + A * D / 2 + B * C / 2
-                  + B * D / 3 + C * D / 3)
-            py = Fraction(2 * Q + 1, 2)
-            qy = Fraction(Q, 2) + third
-            bracket = A * px * py + B * qx * py + C * px * qy + D * qx * qy
-            i1 += D * e2
-            i3 += e2
-            i2 += D * bracket
-    n2 = Fraction(1, n * n)
-    return {"i1": i1, "i2": i2 * n2, "i3": i3 * n2}
+    cells = list(mu.cells.items())
+    D = math.lcm(*(m.denominator for _, m in cells))
+    # a <= D and b, c, d <= D/n (every row and column of M sums to D/n), so
+    # every term and sum below stays under 100 D^2 (D + n^2); past int64
+    # the same sweep runs on Python ints
+    dtype = np.int64 if 100 * D * D * (D + n * n) < 2 ** 63 else object
+    p = np.array([i - 1 for (i, _), _ in cells])
+    q = np.array([j - 1 for (_, j), _ in cells])
+    M = np.zeros((n + 1, n + 1), dtype=dtype)
+    M[p + 1, q + 1] = np.array([m.numerator * (D // m.denominator) for _, m in cells],
+                               dtype=dtype)
+    P = M.cumsum(0).cumsum(1)
+    a = P[:-1, :-1].ravel()
+    b = P[1:, :-1].ravel() - a
+    c = P[:-1, 1:].ravel() - a
+    # the d-free part of E over all cells, then the rest over the mass cells
+    e_all = (18 * np.dot(a, a) + 6 * np.dot(b, b) + 6 * np.dot(c, c)
+             + 18 * np.dot(a, b) + 18 * np.dot(a, c) + 9 * np.dot(b, c))
+    at = p * n + q
+    a, b, c, d = a[at], b[at], c[at], M[p + 1, q + 1]
+    e_d = d * (2 * d + 9 * a + 6 * b + 6 * c)
+    E = 18 * a * a + 6 * b * b + 6 * c * c + 18 * a * b + 18 * a * c + 9 * b * c + e_d
+    G = ((2 * q + 1) * (9 * a * (2 * p + 1) + 3 * b * (3 * p + 2))
+         + (3 * q + 2) * (3 * c * (2 * p + 1) + d * (3 * p + 2)))
+    n2 = n * n
+    return {"i1": Fraction(int(np.dot(d, E)), 18 * D ** 3),
+            "i2": Fraction(int(np.dot(d, G)), 36 * D * D * n2),
+            "i3": Fraction(int(e_all + e_d.sum()), 18 * D * D * n2)}
 
 
 def _grid_l(mu: GridPermuton) -> Fraction:
@@ -254,25 +260,21 @@ class IntegralReport:
 def lemma_integrals(mu: Permuton, budget: Budget | None = None) -> IntegralReport:
     """The three distinguishing integrals of mu.
 
-    Exact for grid permutons (n <= 300); otherwise i1, i2 by Monte Carlo
-    and i3 by the midpoint rule.  mode="mc" forces sampling even on grids,
-    including i3, so exact and sampled paths can be compared.
+    Exact for grid permutons (n <= 300), flat or not, from one integer
+    sweep over the n^2 lattice cells (_grid_cell_integrals); otherwise i1, i2
+    by Monte Carlo and i3 by the midpoint rule.  mode="mc" forces sampling
+    even on grids, including i3, so exact and sampled paths can be compared.
 
-    On a flat grid of a permutation each integral is the probability of a
-    4-point event (i1: P1, P2 <= P0; i2: P1 <= P0, X2 < X0, Y3 < Y0;
-    i3: P0, P1 <= (X2, Y3)), read as sum_pi c(pi) t(pi, mu) from the exact
-    4-pattern densities with coefficients generated by counting the
-    labelings of each pattern that satisfy the event.  Other grids use the
-    exact cell sweep.
+    Each integral is also the probability of a 4-point event (i1: P1, P2 <=
+    P0; i2: P1 <= P0, X2 < X0, Y3 < Y0; i3: P0, P1 <= (X2, Y3)), so
+    sum_pi c(pi) t(pi, mu) over the exact 4-pattern densities gives the
+    same Fractions; the tests use that (_event_integrals) as the oracle.
     """
     budget = budget or Budget()
     if _exact_grid_path(mu, budget, "exact integrals need"):
-        if mu.permutation is not None:
-            i1, i2, i3 = _flat_grid_integrals(mu)
-        else:
-            g = _grid_cell_integrals(mu)
-            i1, i2, i3 = g["i1"], g["i2"], g["i3"]
-        return IntegralReport(i1, i2, i3, ("exact",) * 3, (0.0, 0.0, 0.0))
+        g = _grid_cell_integrals(mu)
+        return IntegralReport(g["i1"], g["i2"], g["i3"], ("exact",) * 3,
+                              (0.0, 0.0, 0.0))
     s1, s2 = _child_seeds(budget.seed, 2)
     (i1, c1), (i2, c2) = _mc_f_integrals(mu, budget.samples, s1)
     if budget.mode == "mc":
@@ -408,7 +410,8 @@ def cs_chain(mu: Permuton, budget: Budget | None = None) -> ChainReport:
 # out of the parameter cube.  Conditioning on t_b, the admissible t_a and
 # t_c sets are intervals whose lengths are piecewise affine in t_b, so the
 # volume is an exact piecewise-quadratic integral.  On m_set(a) the volumes
-# sum to the cubic of t_id3_segment; find_nu and the tests still read them.
+# sum to the cubic of t_id3_segment, and on the union of m_set(0) and
+# m_set(1) to find_nu's quadratic; the tests check both closed forms here.
 
 _AffinePieces = list[tuple[Fraction, Fraction, Fraction, Fraction]]
 
@@ -606,21 +609,13 @@ def find_nu(tol: float = 1e-5) -> RootResult:
     t(id3, nu_a) = 6 sum w w w vol over the union support's volume table,
     w = a * mass on m_set(0)'s segments and (1-a) * mass on m_set(1)'s: the
     cubic sum_j C_j a^j (1-a)^(3-j), C_j over the triples holding j segments
-    of m_set(0), solved by the scan-and-bisect of find_b.
+    of m_set(0).  C = (1/8, 7/16, 9/16, 1/4), so the cubic terms cancel and
+    t = (2 + a + a^2)/16 (the tests pin this against the volume table),
+    solved by the scan-and-bisect of find_b.
     """
     if tol <= 0:
         raise AnalysisError("tol must be positive")
-    seg0 = m_set(0).segments
-    union = seg0 + m_set(1).segments
-    coeffs = [_ZERO] * 4
-    for (ia, ib, ic), vol in _id3_volume_table(union).items():
-        j = (ia < len(seg0)) + (ib < len(seg0)) + (ic < len(seg0))
-        coeffs[j] += 6 * union[ia].mass * union[ib].mass * union[ic].mass * vol
-
-    def g(aa: Fraction) -> Fraction:
-        return sum(c * aa ** j * (1 - aa) ** (3 - j) for j, c in enumerate(coeffs))
-
-    return _bracket_and_bisect(g, tol, "nu weight")
+    return _bracket_and_bisect(lambda aa: (2 + aa + aa * aa) / 16, tol, "nu weight")
 
 
 def nu_mixture(a) -> MixturePermuton:

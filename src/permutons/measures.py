@@ -735,11 +735,6 @@ def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fract
     return table
 
 
-def _density_grid_multiset(pi: Perm, mu: GridPermuton) -> Fraction:
-    """Cell-multiset value of t(pi, mu) on any grid, flat or not."""
-    return _multiset_densities(mu, len(pi))[tuple(pi.images)]
-
-
 def _induced_patterns(coords: list[tuple[int, int]]) -> tuple[dict, int]:
     """(count per induced pattern, number of tie-break order pairs) for
     points in the given cells, with uniform independent tie-break orders

@@ -142,6 +142,20 @@ def test_id3_closed_form_matches_the_volume_engine():
         assert t_id3_segment(a) == oracle == (4 - 3 * a + a ** 3) / 16
 
 
+def test_nu_closed_form_matches_the_volume_engine():
+    # C_j sums 6 w w w vol over the union's triples holding j m_set(0) segments
+    seg0 = m_set(0).segments
+    union = seg0 + m_set(1).segments
+    coeffs = [F(0)] * 4
+    for (ia, ib, ic), vol in _id3_volume_table(union).items():
+        j = (ia < len(seg0)) + (ib < len(seg0)) + (ic < len(seg0))
+        coeffs[j] += 6 * union[ia].mass * union[ib].mass * union[ic].mass * vol
+    assert coeffs == [F(1, 8), F(7, 16), F(9, 16), F(1, 4)]
+    for a in (F(0), F(1), F(1, 2), F(1, 3), F(183, 400), F(7, 9), F(3083, 6400)):
+        cubic = sum(c * a ** j * (1 - a) ** (3 - j) for j, c in enumerate(coeffs))
+        assert cubic == (2 + a + a * a) / 16
+
+
 def test_id3_segment_refuses_what_m_set_refuses():
     for bad in (F(3, 2), "x"):
         with pytest.raises(PermutonError) as want:

@@ -34,6 +34,7 @@ BALANCED9 = str(FIXTURES / "balanced9.permuton")
 FLAT2 = str(FIXTURES / "flat2.permuton")
 WINDOW = str(FIXTURES / "window_half.permuton")
 PERM40 = str(FIXTURES / "perm40.permuton")
+AVG12 = str(FIXTURES / "avg12.permuton")
 MC = ("--mode", "mc", "--samples", "20000")
 
 CASES = {
@@ -58,11 +59,14 @@ CASES = {
     "integrals-balanced9": ("integrals", BALANCED9),
     "integrals-flat2": ("integrals", FLAT2),
     "integrals-perm40": ("integrals", PERM40),
+    "integrals-avg12": ("integrals", AVG12),
     "chain-balanced9": ("chain", BALANCED9),
     "chain-flat2": ("chain", FLAT2),
     "chain-perm40": ("chain", PERM40),
+    "chain-avg12": ("chain", AVG12),
     "identity-balanced9": ("identity", BALANCED9),
     "identity-flat2": ("identity", FLAT2),
+    "identity-avg12": ("identity", AVG12),
     "permuton-density-exact": ("permuton-density", "2 1 3", BALANCED9),
     "permuton-density-mc": ("permuton-density", "2 1 3", WINDOW, *MC),
     "find-b": ("find-b",),
@@ -70,6 +74,8 @@ CASES = {
 }
 
 GOLDEN = {
+    "chain-avg12":
+        "4d95211839d57625fdc42833c1ff641220b5fa6ab1ebc6eb5970b830c548f7ed",
     "chain-balanced9":
         "13079a31db5f513b02f89cb8c19bff01b649c23c6bea90f78318f14afa91a60e",
     "chain-flat2":
@@ -94,12 +100,16 @@ GOLDEN = {
         "b49ffd99771c98dcfe08973e26a8022e8d048bb77a781da37807e9e81b35fb34",
     "find-nu":
         "460290c5e1af6b2671a6aa4b6e0fbced04f80615b1130f218039bd9bcaef6322",
+    "identity-avg12":
+        "c593dcb8640ef639499f78daf774e5abc15f82b493f46c24be5230adfce9e693",
     "identity-balanced9":
         "8c0eea0214b32157346354f938da825f6e53691dbaed7638e20bbfea2af2406a",
     "identity-flat2":
         "5b72efd8d218d763b273369d458029b5c01b26169c418aecc75807b4a7656d17",
     "inflatable-balanced9-3":
         "fc085b059489dff3dd8dd156b6b0b3460e257759bed0624562b9a28415e78b6d",
+    "integrals-avg12":
+        "7b4563ca4d48c92a06bc6b54b5a5e0f7eca7c8cbbb4e5b17bc43ecf4cb1b9750",
     "integrals-balanced9":
         "e7bd648f837e26f81e0892be2b4c2a23abff646e7a89e0e736da78d796d045d7",
     "integrals-flat2":

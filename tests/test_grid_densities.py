@@ -12,13 +12,13 @@ import pytest
 from permutons import (
     AnalysisError, Budget, GridPermuton, Perm, PermutonError, all_patterns,
     cs_chain, density_exact_grid, from_perm, grid_densities, identity_check,
-    lemma_integrals, m_set, symmetry_defect, uniform,
+    lemma_integrals, load_permuton, m_set, symmetry_defect, uniform,
 )
 from permutons import analysis, counting, measures
 from permutons.cli import main
-from permutons.analysis import _LEMMA_COEFFICIENTS, _grid_cell_integrals
+from permutons.analysis import _LEMMA_COEFFICIENTS, _event_integrals, _grid_cell_integrals
 
-from conftest import random_perm
+from conftest import FIXTURES, random_perm
 
 F = Fraction
 
@@ -93,6 +93,25 @@ def _average_grid(rng, m: int, parts: int) -> GridPermuton:
         for _ in range(parts):
             for i, v in enumerate(random_perm(rng, m), start=1):
                 cells[(i, v)] = cells.get((i, v), F(0)) + F(1, parts * m)
+        mu = GridPermuton(m, cells)
+        if mu.permutation is None:
+            return mu
+
+
+def _pair_average(rng, m: int, moved: int) -> GridPermuton:
+    """Mean of a random m x m permutation grid and the grid of the same
+    permutation with `moved` positions shuffled among themselves: m + moved
+    cells at most, so the k = 4 multiset pass stays small at m = 20."""
+    while True:
+        tau = list(random_perm(rng, m).images)
+        sigma = list(tau)
+        at = rng.choice(m, moved, replace=False)
+        for i, j in zip(at, rng.permutation(at)):
+            sigma[i] = tau[j]
+        cells: dict = {}
+        for images in (tau, sigma):
+            for i, v in enumerate(images, start=1):
+                cells[(i, v)] = cells.get((i, v), F(0)) + F(1, 2 * m)
         mu = GridPermuton(m, cells)
         if mu.permutation is None:
             return mu
@@ -207,7 +226,7 @@ def test_symmetry_defect_builds_each_profile_once(monkeypatch):
     mu = from_perm(random_perm(np.random.default_rng(11), 12))
     verdict = symmetry_defect(mu, 4)
     assert calls == {1: 1, 2: 1, 3: 1, 4: 1}
-    # the lemma integrals and the chain read the same k = 4 table
+    # the lemma integrals and the chain build no profile at all
     lemma_integrals(mu)
     cs_chain(mu)
     symmetry_defect(mu, 4)
@@ -230,38 +249,70 @@ def test_generated_coefficients():
         assert sum(coef.values()) / 24 == F(1, 9)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 40, 120])
-def test_density_integrals_equal_cell_sweep(n):
-    tau = random_perm(np.random.default_rng(100 + n), n)
-    rep = lemma_integrals(from_perm(tau))
-    sweep = _grid_cell_integrals(from_perm(tau))
+def _assert_sweep_matches_events(mu):
+    rep = lemma_integrals(mu)
     assert rep.methods == ("exact",) * 3
-    assert (rep.i1, rep.i2, rep.i3) == (sweep["i1"], sweep["i2"], sweep["i3"])
     assert all(isinstance(v, Fraction) for v in (rep.i1, rep.i2, rep.i3))
+    assert (rep.i1, rep.i2, rep.i3) == _event_integrals(mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 40, 120, 300])
+def test_density_integrals_equal_cell_sweep(n):
+    _assert_sweep_matches_events(from_perm(random_perm(np.random.default_rng(100 + n), n)))
 
 
 def test_density_integrals_on_uniform():
     rep = lemma_integrals(uniform())
-    sweep = _grid_cell_integrals(uniform())
-    assert (rep.i1, rep.i2, rep.i3) == (sweep["i1"], sweep["i2"], sweep["i3"]) \
-        == (F(1, 9),) * 3
-
-
-def test_flat_grids_skip_the_cell_sweep(monkeypatch):
-    def refuse(mu):
-        raise AssertionError("cell sweep on a flat grid")
-
-    monkeypatch.setattr(analysis, "_grid_cell_integrals", refuse)
-    mu = from_perm(Perm((2, 5, 3, 1, 4)))
-    assert lemma_integrals(mu).exact
-    assert cs_chain(mu).integrals.exact
+    assert (rep.i1, rep.i2, rep.i3) == _event_integrals(uniform()) == (F(1, 9),) * 3
 
 
 def test_nonpermutation_grids_keep_the_cell_sweep():
-    mu = _average_grid(np.random.default_rng(4), 4, 2)
-    rep = lemma_integrals(mu)
-    sweep = _grid_cell_integrals(mu)
-    assert (rep.i1, rep.i2, rep.i3) == (sweep["i1"], sweep["i2"], sweep["i3"])
+    _assert_sweep_matches_events(_average_grid(np.random.default_rng(4), 4, 2))
+
+
+@pytest.mark.parametrize("n", [3, 6, 20])
+def test_cell_sweep_matches_events_on_averaged_grids(n):
+    rng = np.random.default_rng(200 + n)
+    mu = _average_grid(rng, n, 2) if n < 20 else _pair_average(rng, n, 6)
+    assert mu.permutation is None
+    _assert_sweep_matches_events(mu)
+
+
+def test_cell_sweep_matches_events_on_every_grid_fixture():
+    grids = [load_permuton(path) for path in sorted(FIXTURES.glob("*.permuton"))]
+    grids = [mu for mu in grids if isinstance(mu, GridPermuton)]
+    assert any(mu.permutation is None for mu in grids)
+    for mu in grids:
+        _assert_sweep_matches_events(mu)
+
+
+def test_cell_sweep_beyond_int64_runs_on_python_ints():
+    # D = 10^7 puts the bound 100 D^2 (D + n^2) past 2^63
+    t = F(1, 10 ** 7)
+    mu = GridPermuton(2, {(1, 1): t, (1, 2): F(1, 2) - t,
+                          (2, 1): F(1, 2) - t, (2, 2): t})
+    assert 100 * 10 ** 14 * (10 ** 7 + 4) >= 2 ** 63
+    _assert_sweep_matches_events(mu)
+
+
+def test_cell_sweep_refuses_beyond_the_grid_limit():
+    big = from_perm(random_perm(np.random.default_rng(9), analysis.EXACT_GRID_LIMIT + 1))
+    with pytest.raises(AnalysisError, match="n <= 300"):
+        _grid_cell_integrals(big)
+    with pytest.raises(AnalysisError):
+        lemma_integrals(big, Budget(mode="exact", samples=1000))
+
+
+def test_lemma_integrals_never_read_the_density_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("4-pattern densities in lemma_integrals")
+
+    monkeypatch.setattr(analysis, "_event_integrals", refuse)
+    monkeypatch.setattr(analysis, "grid_densities", refuse)
+    rng = np.random.default_rng(5)
+    for mu in (from_perm(Perm((2, 5, 3, 1, 4))), _average_grid(rng, 5, 2), uniform()):
+        assert lemma_integrals(mu).exact
+        assert cs_chain(mu).integrals.exact
 
 
 # ---------------------------------------------------------------------------
