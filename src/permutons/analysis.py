@@ -597,7 +597,7 @@ def find_b(tol: float = 1e-5) -> RootResult:
 
     The endpoints give t = 1/4 and t = 1/8, so a bracket exists.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise AnalysisError("tol must be positive")
     return _bracket_and_bisect(t_id3_segment, tol, "b")
 
@@ -613,7 +613,7 @@ def find_nu(tol: float = 1e-5) -> RootResult:
     t = (2 + a + a^2)/16 (the tests pin this against the volume table),
     solved by the scan-and-bisect of find_b.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise AnalysisError("tol must be positive")
     return _bracket_and_bisect(lambda aa: (2 + aa + aa * aa) / 16, tol, "nu weight")
 

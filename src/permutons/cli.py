@@ -74,8 +74,9 @@ def _csv_text(header: list[str], rows: list[list]) -> list[str]:
 
 
 def _budget(args) -> Budget:
+    r = getattr(args, "resolution", None)  # None, never 0, means the default
     return Budget(samples=args.samples, seed=args.seed,
-                  resolution=getattr(args, "resolution", 2000) or 2000,
+                  resolution=2000 if r is None else r,
                   mode=getattr(args, "mode", "auto") or "auto")
 
 
@@ -216,7 +217,7 @@ def _run_densities(args) -> list[str]:
 def _run_discrepancy(args) -> list[str]:
     tau = _read_perm(args.tau)
     res = discrepancy(tau, mode=args.method,
-                      resolution=args.resolution or 1000)
+                      resolution=1000 if args.resolution is None else args.resolution)
     lines = [f"mode = {res.mode}", f"lower = {res.lower:.12g}",
              f"upper = {res.upper:.12g}"]
     if res.mode == "exact":
@@ -357,7 +358,8 @@ def _run_converge(args) -> list[str]:
 def _run_check_marginals(args) -> list[str]:
     with open(args.permuton) as fh:
         mu = permuton_io.parse_permuton(fh.read())
-    rep = measures.marginal_check(mu, args.resolution or 101, args.tol)
+    r = 101 if args.resolution is None else args.resolution
+    rep = measures.marginal_check(mu, r, args.tol)
     lines = [f"resolution = {rep.resolution}",
              f"max_deviation = {rep.max_deviation:.12g}",
              f"worst_strip = {rep.axis}[{rep.strip_index}]",

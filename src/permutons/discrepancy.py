@@ -107,7 +107,7 @@ def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
     the spread of P = Q[a2] - Q[a1], which ``box_spread`` sweeps.
     """
     n = len(v)
-    r = max(2, min(resolution, n))
+    r = min(resolution, n)
     cuts = np.unique(-(-np.arange(r + 1, dtype=np.int64) * n // r))
     m = len(cuts)
     row = np.searchsorted(cuts, np.arange(n), side="right")
@@ -127,6 +127,8 @@ def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
 
 def discrepancy(tau, mode: str = "exact", resolution: int = 1000) -> DiscrepancyResult:
     """Interval discrepancy of a permutation, by mode (see module docs)."""
+    if mode == "grid" and resolution < 2:
+        raise PermError("grid resolution must be >= 2")
     v = _as_values(tau)
     n = len(v)
     if n == 1:

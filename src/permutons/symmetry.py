@@ -11,11 +11,13 @@ Monte Carlo histograms, and take their defect and witness from
 flat-grid formula's integer terms, ``measures.FLAT_TERMS[3]``: t(pi, mu_tau)
 = 1/6 for all six pi exactly when every sum of w * occ_r(sigma) equals n^3,
 so the sweep runs entirely in int64 numpy batches; orders where no occ(12)
-lets every sum reach n^3 (all n <= 10 but 8 and 9) are never swept.
+lets every sum reach n^3 (all n <= 10 but 8 and 9) are never swept, and at
+orders 8 and 9 only rows whose occ(12) could do so (one in four) are scored.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -105,26 +107,36 @@ def is_inflatable(tau, k: int) -> tuple[bool, SymmetryVerdict]:
 _TAIL = 8  # each block is one prefix followed by all 8! = 40,320 tails
 
 
-def _tail_table(t: int) -> np.ndarray:
-    """All permutations of range(t) in lexicographic order, shape (t!, t)."""
+@functools.cache
+def _tail_table(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(t) in lexicographic order, shape (t!, t), and
+    the occ(12) of each; read-only."""
     table = np.zeros((1, 0), dtype=np.int64)
     for s in range(1, t + 1):
         table = np.concatenate([
             np.column_stack((np.full(len(table), f), table + (table >= f)))
             for f in range(s)])
-    return table
+    occ12 = np.triu(table[:, :, None] < table[:, None, :], 1).sum((1, 2))
+    table.flags.writeable = occ12.flags.writeable = False
+    return table, occ12
 
 
-def _perm_chunks(n: int) -> Iterable[np.ndarray]:
-    """S_n in lexicographic order, one block per (n - t)-prefix, t = min(n, 8)."""
+def _perm_chunks(n: int, admitted: np.ndarray | None = None) -> Iterable[np.ndarray]:
+    """S_n in lexicographic order, one block per (n - t)-prefix, t = min(n, 8);
+    given a mask over occ(12), only the rows it admits.  A row's occ(12) is the
+    prefix's pairs p < q over all later q plus its tail pattern's occ(12)."""
     t = min(n, _TAIL)
-    tails = _tail_table(t)
+    tails, tail_occ12 = _tail_table(t)
     values = range(1, n + 1)
     for prefix in itertools.permutations(values, n - t):
-        rest = np.array(sorted(set(values) - set(prefix)), dtype=np.int64)
-        block = np.empty((len(tails), n), dtype=np.int64)
+        first = prefix + tuple(sorted(set(values) - set(prefix)))  # the block's row 0
+        rows = tails
+        if admitted is not None:
+            base = sum(q > p for i, p in enumerate(prefix) for q in first[i + 1:])
+            rows = tails[admitted[base + tail_occ12]]
+        block = np.empty((len(rows), n), dtype=np.int64)
         block[:, :n - t] = prefix
-        block[:, n - t:] = rest[tails]
+        block[:, n - t:] = np.array(first[n - t:], dtype=np.int64)[rows]
         yield block
 
 
@@ -160,10 +172,15 @@ def _order_conditions(n: int) -> dict:
     return {pi: (rest >= 0) & (rest % _W3[pi] == 0) for pi, rest in rests.items()}
 
 
+def _admitted_occ12(n: int) -> np.ndarray:
+    """Mask of the occ(12) that meet every pattern's condition, as any hit's must."""
+    return np.logical_and.reduce(list(_order_conditions(n).values()))
+
+
 def _order_admissible(n: int) -> bool:
-    """Whether some occ(12) meets every pattern's condition, as any row passing
-    _score_hits must: for n <= 200, exactly n = 0, 1 (mod 8) and 0, 1, 8 (mod 9)."""
-    return bool(np.logical_and.reduce(list(_order_conditions(n).values())).any())
+    """Whether _admitted_occ12(n) admits any occ(12): for n <= 200, exactly
+    n = 0, 1 (mod 8) and 0, 1, 8 (mod 9)."""
+    return bool(_admitted_occ12(n).any())
 
 
 _ENCODE_BASE = 16
@@ -196,25 +213,27 @@ def search_inflatable(n: int, k: int, prune: bool = True,
     """All k-inflatable permutations in S_n, sorted lexicographically.
 
     Orders that fail _order_admissible (all n <= 10 but 8 and 9) return []
-    before enumeration; the rest are exhaustive over n! candidates,
-    generated as numpy blocks of 8! rows that share a prefix.  With prune,
-    only lexicographic minima of the 8-element reverse/complement/inverse
-    orbits are scored and hits are expanded back to full orbits; the defect
-    is orbit-invariant, so the result set is unchanged.  k = 4 filters by
-    exact 3-symmetry first (k-symmetry of any measure forces (k-1)-symmetry
-    by marginalization) and then applies the exact rational 4-pattern
-    verdict to survivors.  threads is accepted for compatibility and
-    ignored: the search runs in one thread.
+    before enumeration; the rest score only the n!/4 rows whose occ(12)
+    _admitted_occ12 admits, as every hit's is, in numpy blocks of up to 8!
+    rows that share a prefix.  With prune, only lexicographic minima of the
+    8-element reverse/complement/inverse orbits are scored and hits are
+    expanded back to full orbits; the defect is orbit-invariant, so a hit's
+    orbit minimum is an admitted hit and the result set is unchanged.  k = 4
+    filters by exact 3-symmetry first (k-symmetry of any measure forces
+    (k-1)-symmetry by marginalization) and then applies the exact rational
+    4-pattern verdict to survivors.  threads is accepted for compatibility
+    and ignored: the search runs in one thread.
     """
     if not 2 <= n <= 10:
         raise PermutonError("search supports 2 <= n <= 10")
     if k not in (3, 4):
         raise PermutonError("search supports k = 3 or 4")
-    if not _order_admissible(n):
+    admitted = _admitted_occ12(n)
+    if not admitted.any():
         return []
 
     hits: list[tuple[int, ...]] = []
-    for block in _perm_chunks(n):
+    for block in _perm_chunks(n, admitted):
         if prune:
             block = block[_is_orbit_representative(block)]
         hits.extend(map(tuple, block[_score_hits(block)].tolist()))

@@ -206,6 +206,14 @@ def test_find_nu_hits_tolerance():
     assert 0 < r.value < 1
 
 
+@pytest.mark.parametrize("finder", [find_b, find_nu])
+@pytest.mark.parametrize("tol", [0.0, -1e-5, float("nan"), float("-inf")])
+def test_root_finders_refuse_every_tol_not_above_zero(finder, tol):
+    # NaN compares False both ways, so a bare "tol <= 0" check let it bisect
+    with pytest.raises(AnalysisError, match="tol must be positive"):
+        finder(tol)
+
+
 def test_nu_mixture_endpoints():
     lo, _ = density_mc(ID3, nu_mixture(0), 200_000, seed=14)
     hi, _ = density_mc(ID3, nu_mixture(1), 200_000, seed=14)

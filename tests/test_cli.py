@@ -133,6 +133,23 @@ def test_find_b_cli(capsys):
     assert code == 0 and out.startswith("b = ")
 
 
+@pytest.mark.parametrize("cmd", ["find-b", "find-nu"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-3"])
+def test_root_finders_refuse_tol_not_above_zero(capsys, cmd, tol):
+    code, out, err = run(capsys, cmd, f"--tol={tol}")
+    assert code == 1 and out == ""
+    assert err == "error: tol must be positive\n"
+
+
+def test_resolution_zero_is_refused_not_defaulted(capsys, grid_file):
+    # only an absent --resolution takes the default; 0 is an invalid value
+    for argv in (("discrepancy", "2 1 3", "--method", "grid"),
+                 ("integrals", grid_file), ("check-marginals", grid_file)):
+        code, out, err = run(capsys, *argv, "--resolution", "0")
+        assert code == 1 and out == "" and "resolution" in err, argv
+        assert run(capsys, *argv)[0] == 0, argv
+
+
 def test_converge_csv(capsys, grid_file):
     code, out, _ = run(capsys, "converge", grid_file, "2", "20", "40",
                        "--format", "csv")

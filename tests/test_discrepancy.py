@@ -60,6 +60,22 @@ def test_grid_mode_encloses_exact():
         assert exact.value <= grid.upper + 1e-12
 
 
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+def test_grid_mode_refuses_resolutions_below_two(resolution):
+    for tau in (Perm((1,)), Perm((2, 4, 1, 3))):
+        with pytest.raises(PermError, match="resolution must be >= 2"):
+            discrepancy(tau, mode="grid", resolution=resolution)
+
+
+def test_grid_mode_clamps_resolution_to_n():
+    p = Perm((3, 1, 4, 2, 5))
+    assert discrepancy(p, mode="grid", resolution=2) != \
+        discrepancy(p, mode="grid", resolution=5)
+    assert discrepancy(p, mode="grid", resolution=1000) == \
+        discrepancy(p, mode="grid", resolution=5)
+    assert discrepancy(p, mode="grid", resolution=5).lower == discrepancy(p).value
+
+
 def test_reflection_invariance():
     rng = np.random.default_rng(29)
     for _ in range(10):

@@ -16,8 +16,8 @@ from permutons import symmetry as symmetry_module
 from permutons.counting import all_patterns, pattern_index
 from permutons.measures import FLAT_TERMS, _flat_sums, _multiset_densities
 from permutons.perms import defect_witness
-from permutons.symmetry import _W3, _is_orbit_representative, _low_profiles, \
-    _order_admissible, _order_conditions, _perm_chunks, _score_hits
+from permutons.symmetry import _W3, _admitted_occ12, _is_orbit_representative, \
+    _low_profiles, _order_admissible, _order_conditions, _perm_chunks, _score_hits
 
 from conftest import BALANCED_9
 
@@ -276,6 +276,51 @@ def test_perm_chunks_enumerate_sn_in_lexicographic_order(n):
     assert np.array_equal(rows, expected)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_admitted_chunks_are_the_sn_rows_with_admitted_occ12(n):
+    # the search's rows: lexicographic S_n, filtered by a direct occ(12) count
+    admitted = _admitted_occ12(n)
+    rows = np.concatenate(list(_perm_chunks(n, admitted)))
+    sn = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    expected = sn[admitted[_occ_by_subsets(sn, 2)[:, 0]]]
+    assert np.array_equal(rows, expected)
+    assert len(rows) == (math.factorial(n) // 4 if n in (8, 9) else 0)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_admission_counts_pairs_across_longer_prefixes(monkeypatch, n):
+    # orders 8 and 9 have prefixes of length 0 and 1; tails of length 2 give
+    # prefixes up to length 5, and arbitrary masks stand in for the gate's
+    monkeypatch.setattr(symmetry_module, "_TAIL", 2)
+    sn = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    occ12 = _occ_by_subsets(sn, 2)[:, 0]
+    for mask in (np.arange(math.comb(n, 2) + 1) % 3 == 1,
+                 np.arange(math.comb(n, 2) + 1) >= math.comb(n, 2) // 2):
+        rows = np.concatenate(list(_perm_chunks(n, mask)))
+        assert np.array_equal(rows, sn[mask[occ12]]), mask
+
+
+def _control_hits(v):
+    """An orbit-invariant stand-in for _score_hits that some admitted rows
+    of S_9 meet: min(occ12, occ21) = 16 and occ(123) + occ(321) = 15."""
+    occ12 = _occ_by_subsets(v, 2)[:, 0]
+    ok = np.minimum(occ12, math.comb(v.shape[1], 2) - occ12) == 16
+    occ3 = _occ_by_subsets(v[ok], 3)
+    ok[ok] = occ3[:, 0] + occ3[:, 5] == 15
+    return ok
+
+
+def test_admission_keeps_every_row_of_a_positive_control(monkeypatch):
+    # S_9 has no 3-inflatable row, so an empty result cannot show a dropped
+    # hit; this predicate's hits have occ(12) in {16, 20}, both admitted
+    sn = np.array(list(itertools.permutations(range(1, 10))), dtype=np.int64)
+    expected = [Perm(tuple(row)) for row in sn[_control_hits(sn)].tolist()]
+    assert len(expected) == 240
+    monkeypatch.setattr(symmetry_module, "_score_hits", _control_hits)
+    assert search_inflatable(9, 3) == expected
+    assert search_inflatable(9, 3, prune=False) == expected
+
+
 def test_search_memory_stays_bounded():
     # one block of 8! rows is live at a time, whatever threads says
     tracemalloc.start()
@@ -285,6 +330,18 @@ def test_search_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 80 * 2**20
+
+
+def test_admitted_search_peak_stays_small():
+    # a quarter of each 8!-row block is generated, and the orbit test and the
+    # score see only that quarter
+    tracemalloc.start()
+    try:
+        assert search_inflatable(9, 3) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_search_argument_validation():
