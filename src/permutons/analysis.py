@@ -11,8 +11,8 @@ This module evaluates
   measure;
 * the six-term inequality chain that starts and ends at 1/81 and applies
   Cauchy-Schwarz twice, with the per-step slacks;
-* exact t(id3, .) for segment permutons by polytope volumes (a cubic on
-  m_set(a)), the root b of t(id3, m_set(b)) = 1/6, and the mixture weight;
+* t(id3, m_set(a)) as a closed-form cubic, the root b of
+  t(id3, m_set(b)) = 1/6, and the mixture weight;
 * sampled-permutation convergence tables and the CDF sandwich check.
 
 Each of i1, i2, i3 is the probability of a fixed event on four iid
@@ -48,16 +48,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .counting import all_patterns
-from .discrepancy import discrepancy
+from .discrepancy import PREFIX_BOUND_MAX_N, discrepancy
 from .measures import (
-    GridPermuton, MixturePermuton, Permuton, Segment, _check_unit, _frac, cdf_many,
+    GridPermuton, MixturePermuton, Permuton, _check_unit, _frac, cdf_many,
     discrepancy_permuton, grid_densities, m_set, moment, sample_patterns,
 )
 from .perms import DEFAULT_SEED, Perm, all_densities, mc_chunks, mean_ci99
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_NINTH = Fraction(1, 9)
 
 EXACT_GRID_LIMIT = 300  # exact grid integrals; beyond it auto mode samples
 
@@ -403,114 +401,7 @@ def cs_chain(mu: Permuton, budget: Budget | None = None) -> ChainReport:
 
 
 # ---------------------------------------------------------------------------
-# exact t(id3, .) on segment permutons
-#
-# For an ordered triple of segments (s_a, s_b, s_c) with independent uniform
-# parameters, the event x_a < x_b < x_c and y_a < y_b < y_c cuts a polytope
-# out of the parameter cube.  Conditioning on t_b, the admissible t_a and
-# t_c sets are intervals whose lengths are piecewise affine in t_b, so the
-# volume is an exact piecewise-quadratic integral.  On m_set(a) the volumes
-# sum to the cubic of t_id3_segment, and on the union of m_set(0) and
-# m_set(1) to find_nu's quadratic; the tests check both closed forms here.
-
-_AffinePieces = list[tuple[Fraction, Fraction, Fraction, Fraction]]
-
-
-def _pair_pieces(seg: Segment, target: tuple, side: str) -> _AffinePieces | None:
-    """Length of {t : point of seg is strictly below/above target(t2)}.
-
-    target is (x0, dx, y0, dy) of the middle segment; returns pieces
-    (lo, hi, a0, a1) with the length a0 + a1 t2 on [lo, hi], or None when
-    the length vanishes identically.
-    """
-    sdx = seg.x1 - seg.x0
-    sdy = seg.y1 - seg.y0
-    if sdx == 0 or sdy == 0:
-        raise AnalysisError("exact id3 needs segments with nonzero slope")
-    tx0, tdx, ty0, tdy = target
-    uppers = [(_ONE, _ZERO)]
-    lowers = [(_ZERO, _ZERO)]
-    for s0, sd, b0, bd in ((seg.x0, sdx, tx0, tdx), (seg.y0, sdy, ty0, tdy)):
-        c0, c1 = (b0 - s0) / sd, bd / sd
-        flip = (sd < 0) != (side == "after")
-        (lowers if flip else uppers).append((c0, c1))
-    funcs = uppers + lowers
-    breaks = {_ZERO, _ONE}
-    for i in range(len(funcs)):
-        a0, a1 = funcs[i]
-        for j in range(i + 1, len(funcs)):
-            b0, b1 = funcs[j]
-            if a1 != b1:
-                t = (b0 - a0) / (a1 - b1)
-                if _ZERO < t < _ONE:
-                    breaks.add(t)
-    cuts = sorted(breaks)
-    pieces: _AffinePieces = []
-    allzero = True
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2
-        u0, u1 = min(uppers, key=lambda f: f[0] + f[1] * mid)
-        l0, l1 = max(lowers, key=lambda f: f[0] + f[1] * mid)
-        a0, a1 = u0 - l0, u1 - l1
-        if a0 + a1 * mid <= 0:
-            pieces.append((lo, hi, _ZERO, _ZERO))
-        else:
-            pieces.append((lo, hi, a0, a1))
-            allzero = False
-    return None if allzero else pieces
-
-
-def _piece_product_integral(pb: _AffinePieces, pa: _AffinePieces) -> Fraction:
-    total = _ZERO
-    i = j = 0
-    while i < len(pb) and j < len(pa):
-        lo = max(pb[i][0], pa[j][0])
-        hi = min(pb[i][1], pa[j][1])
-        if hi > lo:
-            p0, p1 = pb[i][2], pb[i][3]
-            q0, q1 = pa[j][2], pa[j][3]
-            if (p0 or p1) and (q0 or q1):
-                total += (p0 * q0 * (hi - lo)
-                          + (p0 * q1 + p1 * q0) * (hi * hi - lo * lo) / 2
-                          + p1 * q1 * (hi ** 3 - lo ** 3) / 3)
-        if pb[i][1] <= pa[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def _id3_volume_table(segments: Sequence[Segment]) -> dict[tuple[int, int, int], Fraction]:
-    """Volume of the increasing-triple polytope per ordered segment triple."""
-    k = len(segments)
-    before: dict[tuple[int, int], _AffinePieces | None] = {}
-    after: dict[tuple[int, int], _AffinePieces | None] = {}
-    for ib, sb in enumerate(segments):
-        target = (sb.x0, sb.x1 - sb.x0, sb.y0, sb.y1 - sb.y0)
-        for io, so in enumerate(segments):
-            before[(io, ib)] = _pair_pieces(so, target, "before")
-            after[(io, ib)] = _pair_pieces(so, target, "after")
-    table: dict[tuple[int, int, int], Fraction] = {}
-    for ib in range(k):
-        for ia in range(k):
-            pb = before[(ia, ib)]
-            if pb is None:
-                continue
-            for ic in range(k):
-                pa = after[(ic, ib)]
-                if pa is None:
-                    continue
-                v = _piece_product_integral(pb, pa)
-                if v:
-                    table[(ia, ib, ic)] = v
-    return table
-
-
-def _id3_from_masses(table, masses: Sequence[Fraction]) -> Fraction:
-    total = _ZERO
-    for (ia, ib, ic), vol in table.items():
-        total += masses[ia] * masses[ib] * masses[ic] * vol
-    return 6 * total
+# root finding
 
 
 def t_id3_segment(a) -> Fraction:
@@ -521,16 +412,12 @@ def t_id3_segment(a) -> Fraction:
     * Every slope is +-1, so the uniform segment parameter is uniform in x:
       a mass product times a parameter-space volume is an x-space volume / 64.
     * Those polytopes have fixed facet normals and offsets affine in a, so t
-      is piecewise cubic.  The pieces of _pair_pieces change inside (0, 1)
-      only at 2/3; the tests pin both chambers to this cubic against the
-      volume table.  So b (t = 1/6) solves 3b^3 - 9b + 4 = 0, b ~ 0.481702.
+      is piecewise cubic, with one chamber wall inside (0, 1), at 2/3; the
+      tests pin both chambers to this cubic against an exact polytope-volume
+      oracle.  So b (t = 1/6) solves 3b^3 - 9b + 4 = 0, b ~ 0.481702.
     """
     a = _check_unit(_frac(a), "a")
     return (4 - 3 * a + a ** 3) / 16
-
-
-# ---------------------------------------------------------------------------
-# root finding
 
 
 @dataclass(frozen=True)
@@ -606,11 +493,12 @@ def find_nu(tol: float = 1e-5) -> RootResult:
     """Mixture weight a for which a*m_set(0) + (1-a)*m_set(1) has
     t(id3) = 1/6.
 
-    t(id3, nu_a) = 6 sum w w w vol over the union support's volume table,
+    t(id3, nu_a) = 6 sum w w w vol over the ordered triples of the union
+    support's segments, vol the triple's increasing-polytope volume and
     w = a * mass on m_set(0)'s segments and (1-a) * mass on m_set(1)'s: the
     cubic sum_j C_j a^j (1-a)^(3-j), C_j over the triples holding j segments
     of m_set(0).  C = (1/8, 7/16, 9/16, 1/4), so the cubic terms cancel and
-    t = (2 + a + a^2)/16 (the tests pin this against the volume table),
+    t = (2 + a + a^2)/16 (the tests derive C from an exact volume oracle),
     solved by the scan-and-bisect of find_b.
     """
     if not tol > 0:  # NaN too
@@ -647,11 +535,14 @@ def convergence_experiment(mu: Permuton, k: int, sizes: Sequence[int],
                            seed: int = DEFAULT_SEED) -> list[ConvergenceRow]:
     """Sample one n-point permutation per size; tabulate k-pattern densities,
     its discrepancy (exact to n = 1200, grid lower bound beyond), and the
-    prefix upper bound 4 sup|prefix dev|."""
+    prefix upper bound 4 sup|prefix dev|, which limits n to PREFIX_BOUND_MAX_N."""
     if list(sizes) != sorted(set(int(s) for s in sizes)) or not sizes:
         raise AnalysisError("sizes must be strictly increasing and non-empty")
     if sizes[0] < k:
         raise AnalysisError("smallest size must be at least k")
+    if sizes[-1] > PREFIX_BOUND_MAX_N:
+        raise AnalysisError(f"sizes above {PREFIX_BOUND_MAX_N}: the prefix bound "
+                            f"is refused there")
     rows: list[ConvergenceRow] = []
     seeds = _child_seeds(seed, len(sizes))
     for n, s in zip(sizes, seeds):

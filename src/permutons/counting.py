@@ -102,14 +102,13 @@ def profile_naive(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
 
 
 _BASE = 16
-_STRICTLY_LOWER = np.tri(_BASE, k=-1, dtype=bool)
 
 
 def _block_counts(rows: np.ndarray) -> np.ndarray:
     """left_smaller_counts within each row, by one broadcast comparison."""
     w = rows.shape[1]
     below = rows[:, None, :] < rows[:, :, None]
-    below &= _STRICTLY_LOWER[:w, :w]
+    below &= np.tri(w, k=-1, dtype=bool)
     return below.sum(axis=2).ravel()
 
 

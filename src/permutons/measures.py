@@ -802,6 +802,8 @@ def marginal_check(mu: Permuton, resolution: int, tol: float) -> MarginalReport:
     """Exact strip masses vs strip widths on both axes."""
     if resolution < 2:
         raise PermutonError("resolution must be >= 2")
+    if not tol >= 0:  # NaN too
+        raise PermutonError("tol must be >= 0")
     width = Fraction(1, resolution)
     worst = Fraction(0)
     w_axis, w_idx = "x", 0

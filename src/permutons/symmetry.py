@@ -151,7 +151,7 @@ def _score_hits(v: np.ndarray) -> np.ndarray:
     all six pi exactly when every S equals n^3.  Rows take values 0..n-1 or
     1..n."""
     n = v.shape[1]
-    a = np.tril(v[:, None, :] < v[:, :, None], -1).sum(2)  # [r, j]: i < j, v_i < v_j
+    a = counting._block_counts(v).reshape(v.shape)  # [r, j]: i < j, v_i < v_j
     profiles = _low_profiles(n, a.sum(1))
     profiles[3] = dict(zip(counting.all_patterns(3), counting.three_counts(v, a)))
     ok = np.ones(len(v), dtype=bool)

@@ -1,6 +1,8 @@
 import hashlib
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from permutons import (
     nu_mixture, prefix_bound_check, t_id3_segment, uniform,
     convergence_experiment, PermutonError,
 )
-from permutons.analysis import (
-    RootResult, _bracket_and_bisect, _id3_from_masses, _id3_volume_table,
-)
+from permutons import analysis
+from permutons.analysis import RootResult, _bracket_and_bisect
+from permutons.discrepancy import PREFIX_BOUND_MAX_N
 
 F = Fraction
 ID3 = Perm((1, 2, 3))
@@ -129,6 +131,42 @@ def test_id3_segment_exact_values():
     assert t_id3_segment(F(1, 2)) == F(21, 128)
 
 
+def _id3_volumes(segs):
+    """{(ia, ib, ic): volume of the segment parameters (ta, tb, tc) in [0, 1]^3
+    whose points increase in x and y}, zero volumes dropped; slopes nonzero.
+    At tb = u, ta (tc) ranges over [max lows, min ups] of affine bounds
+    c0 + c1 u, so its length is affine between the crossings of its bounds
+    and each piece's product integral is exact."""
+    def side(seg, mid, above):
+        lows, ups = [(F(0), F(0))], [(F(1), F(0))]
+        for s0, s1, m0, m1 in ((seg.x0, seg.x1, mid.x0, mid.x1),
+                               (seg.y0, seg.y1, mid.y0, mid.y1)):
+            (lows if (s1 > s0) == above else ups).append(
+                ((m0 - s0) / (s1 - s0), (m1 - m0) / (s1 - s0)))
+        cross = {(b0 - a0) / (a1 - b1)
+                 for (a0, a1), (b0, b1) in combinations(lows + ups, 2) if a1 != b1}
+        cuts = {F(0), F(1)} | {t for t in cross if 0 < t < 1}
+        length = cache(lambda u: max(F(0), min(c0 + c1 * u for c0, c1 in ups)
+                                     - max(c0 + c1 * u for c0, c1 in lows)))
+        return (length, cuts) if any(map(length, cuts)) else None
+
+    pairs = [{(i, j): side(s, t, above)
+              for (i, s), (j, t) in product(enumerate(segs), repeat=2)}
+             for above in (False, True)]
+    table = {}
+    for ia, ib, ic in product(range(len(segs)), repeat=3):
+        if pairs[0][ia, ib] is None or pairs[1][ic, ib] is None:
+            continue
+        (la, ca), (lc, cc) = pairs[0][ia, ib], pairs[1][ic, ib]
+        cuts = sorted(ca | cc)
+        vol = sum((hi - lo) / 6 * (la(lo) * (2 * lc(lo) + lc(hi))
+                                   + la(hi) * (lc(lo) + 2 * lc(hi)))
+                  for lo, hi in zip(cuts, cuts[1:]))
+        if vol:
+            table[ia, ib, ic] = vol
+    return table
+
+
 def test_id3_closed_form_matches_the_volume_engine():
     # a = i/24 crosses the chamber wall at 2/3; the rest are off-grid rationals
     rng = np.random.default_rng(2024)
@@ -138,7 +176,8 @@ def test_id3_closed_form_matches_the_volume_engine():
         points.append(F(int(rng.integers(0, den + 1)), den))
     for a in points:
         segs = m_set(a).segments
-        oracle = _id3_from_masses(_id3_volume_table(segs), [s.mass for s in segs])
+        oracle = 6 * sum(segs[ia].mass * segs[ib].mass * segs[ic].mass * vol
+                         for (ia, ib, ic), vol in _id3_volumes(segs).items())
         assert t_id3_segment(a) == oracle == (4 - 3 * a + a ** 3) / 16
 
 
@@ -147,7 +186,7 @@ def test_nu_closed_form_matches_the_volume_engine():
     seg0 = m_set(0).segments
     union = seg0 + m_set(1).segments
     coeffs = [F(0)] * 4
-    for (ia, ib, ic), vol in _id3_volume_table(union).items():
+    for (ia, ib, ic), vol in _id3_volumes(union).items():
         j = (ia < len(seg0)) + (ib < len(seg0)) + (ic < len(seg0))
         coeffs[j] += 6 * union[ia].mass * union[ib].mass * union[ic].mass * vol
     assert coeffs == [F(1, 8), F(7, 16), F(9, 16), F(1, 4)]
@@ -244,6 +283,14 @@ def test_convergence_experiment_rows():
         convergence_experiment(uniform(), 3, (50, 20))
     with pytest.raises(AnalysisError):
         convergence_experiment(uniform(), 3, (2,))
+
+
+def test_convergence_experiment_refuses_sizes_past_the_prefix_bound(monkeypatch):
+    def no_sampling(*_):
+        raise AssertionError("sampled before the size check")
+    monkeypatch.setattr(analysis, "sample_patterns", no_sampling)
+    with pytest.raises(AnalysisError, match=f"above {PREFIX_BOUND_MAX_N}"):
+        convergence_experiment(uniform(), 3, (30, PREFIX_BOUND_MAX_N + 1))
 
 
 def test_prefix_bound_check_fixtures():

@@ -150,6 +150,15 @@ def test_resolution_zero_is_refused_not_defaulted(capsys, grid_file):
         assert run(capsys, *argv)[0] == 0, argv
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+def test_check_marginals_refuses_tol_below_zero(capsys, mset_file, tol):
+    code, out, err = run(capsys, "check-marginals", mset_file, f"--tol={tol}")
+    assert code == 1 and "pass =" not in out
+    assert err == "error: tol must be >= 0\n"
+    code, out, _ = run(capsys, "check-marginals", mset_file, "--tol=0")
+    assert code == 0 and "pass = True" in out
+
+
 def test_converge_csv(capsys, grid_file):
     code, out, _ = run(capsys, "converge", grid_file, "2", "20", "40",
                        "--format", "csv")

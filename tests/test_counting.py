@@ -60,6 +60,16 @@ def test_left_smaller_counts_ties_are_not_counted():
         assert left_smaller_counts(row).tolist() == _left_smaller_loop(row)
 
 
+@pytest.mark.parametrize("w", range(1, 18))
+def test_block_counts_match_double_loop_at_every_width(w):
+    # the search scores order-9 rows with it, and order 17 needs width 17
+    rng = np.random.default_rng(w)
+    rows = np.concatenate([rng.permuted(np.tile(np.arange(w), (20, 1)), axis=1),
+                           rng.integers(-2, 3, (20, w))])  # ties not counted
+    got = counting._block_counts(rows).reshape(rows.shape)
+    assert got.tolist() == [_left_smaller_loop(row.tolist()) for row in rows]
+
+
 def test_left_smaller_counts_memory_is_linear():
     tau = np.random.default_rng(5).permutation(10**6) + 1
     tracemalloc.start()

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutons import Perm, PermError, discrepancy, discrepancy_brute
-from permutons.discrepancy import EXACT_MAX_N
+from permutons.discrepancy import EXACT_MAX_N, PREFIX_BOUND_MAX_N
+
+# the package's name `discrepancy` is the function, so fetch the module itself
+discrepancy_mod = importlib.import_module("permutons.discrepancy")
 
 
 def test_identity_discrepancy():
@@ -119,3 +123,19 @@ def test_exact_equals_loop_oracle_beyond_brute_range():
 def test_exact_refuses_beyond_size_limit():
     with pytest.raises(PermError, match="prefix_bound.*grid"):
         discrepancy(Perm.identity(EXACT_MAX_N + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unknown_mode_is_refused_at_every_length(n):
+    with pytest.raises(ValueError, match="unknown discrepancy mode 'bogus'"):
+        discrepancy(Perm.identity(n), mode="bogus")
+
+
+def test_prefix_bound_refuses_beyond_size_limit(monkeypatch):
+    with pytest.raises(PermError, match="prefix_bound.*grid mode"):
+        discrepancy(Perm.identity(PREFIX_BOUND_MAX_N + 1), mode="prefix_bound")
+    # the limit itself is still served
+    monkeypatch.setattr(discrepancy_mod, "PREFIX_BOUND_MAX_N", 5)
+    assert discrepancy(Perm((2, 4, 1, 5, 3)), mode="prefix_bound").mode == "prefix_bound"
+    with pytest.raises(PermError, match="n <= 5"):
+        discrepancy(Perm.identity(6), mode="prefix_bound")

@@ -94,6 +94,16 @@ def test_grid_strip_masses_match_per_strip_definition():
             assert mu.strip_masses(resolution, axis) == want, (resolution, axis)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12, float("-inf")])
+def test_marginal_check_refuses_tol_below_zero_before_any_strip_mass(tol, monkeypatch):
+    # NaN compares False both ways, so every deviation "failed" against it
+    def no_strips(*_):
+        raise AssertionError("strip masses computed before the tol check")
+    monkeypatch.setattr(SegmentPermuton, "strip_masses", no_strips)
+    with pytest.raises(PermutonError, match="tol must be >= 0"):
+        marginal_check(m_set(F(1, 2)), 64, tol)
+
+
 def test_marginal_check_flags_bad_axis():
     bad = SegmentPermuton((Segment(F(0), F(0), F(1), F(1, 2), F(1)),))
     rep = marginal_check(bad, 10, 1e-9)
