@@ -57,6 +57,39 @@ def _check_unit(a: Fraction, name: str) -> Fraction:
     return a
 
 
+def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(start, padded cum, passes) of the guide table of :func:`_pick_cells`.
+
+    With G the least power of two >= len(cum), start[g] counts the entries
+    of ``cum`` at most g/G, so a draw in [g/G, (g+1)/G) has its index in
+    start[g] .. start[g] + gap, gap the most entries in one bucket; ``passes``
+    = gap.bit_length() bisection steps close that window, and the padding of
+    2^passes infinities keeps every probe inside the array.
+    """
+    size = 1 << (len(cum) - 1).bit_length()
+    start = np.searchsorted(cum, np.arange(size + 1) / size, side="right")
+    passes = int(np.diff(start).max()).bit_length()
+    return start[:-1], np.concatenate((cum, np.full(1 << passes, np.inf))), passes
+
+
+def _pick_cells(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1) for
+    draws u in [0, 1), without a binary search per draw.
+
+    A guide table (Chen & Asau) gives each draw's bucket g = floor(u G)
+    exactly, G being a power of two, and a branchless bisection finishes
+    within the bucket in at most ceil(log2(len(cum) + 1)) passes; equal
+    masses need one.  O(len(cum) + len(u)) time, and the same indices as the
+    binary search, so seeded draws are unchanged.
+    """
+    start, cpad, passes = _guide_table(cum)
+    p = start[(u * len(start)).astype(np.intp)]
+    for b in reversed(range(passes)):
+        step = 1 << b
+        p += step * (cpad[p + (step - 1)] <= u)
+    return np.minimum(p, len(cum) - 1, out=p)
+
+
 class Permuton:
     """Base interface; see module docstring."""
 
@@ -73,7 +106,12 @@ class Permuton:
         raise NotImplementedError
 
     def sample_xy(self, rng: np.random.Generator, count: int):
-        """(x, y) float arrays of iid draws."""
+        """(x, y) float arrays of iid draws.
+
+        Each draw picks its cell, segment or component with
+        :func:`_pick_cells`, which returns the same indices as a binary
+        search over the cumulative masses, so a call costs O(pieces + count).
+        """
         raise NotImplementedError
 
     def cdf_float(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -158,22 +196,17 @@ class GridPermuton(Permuton):
         return out
 
     def moment(self, p: int, q: int) -> Fraction:
+        # mass m_ij has density m_ij n^2 on its cell, where x^p integrates to
+        # A_i / ((p+1) n^(p+1)) with A_i = i^(p+1) - (i-1)^(p+1); with D the
+        # lcm of the mass denominators the moment is one integer sum
+        # sum (D m_ij) A_i B_j / (D (p+1)(q+1) n^(p+q))
         n = self.n
-        # int over cell i of x^p, times n (cell width 1/n, uniform inside)
-        def side(idx: int, power: int) -> Fraction:
-            hi = Fraction(idx, n)
-            lo = Fraction(idx - 1, n)
-            return (hi ** (power + 1) - lo ** (power + 1)) * n / (power + 1)
-        xw: dict[int, Fraction] = {}
-        yw: dict[int, Fraction] = {}
-        total = Fraction(0)
-        for (i, j), m in self.cells.items():
-            if i not in xw:
-                xw[i] = side(i, p)
-            if j not in yw:
-                yw[j] = side(j, q)
-            total += m * xw[i] * yw[j]
-        return total
+        D = math.lcm(*(m.denominator for m in self.cells.values()))
+        A = [i ** (p + 1) - (i - 1) ** (p + 1) for i in range(n + 1)]
+        B = A if q == p else [j ** (q + 1) - (j - 1) ** (q + 1) for j in range(n + 1)]
+        total = sum(m.numerator * (D // m.denominator) * A[i] * B[j]
+                    for (i, j), m in self.cells.items())
+        return Fraction(total, D * (p + 1) * (q + 1) * n ** (p + q))
 
     # ---- float CDF ----------------------------------------------------
 
@@ -234,8 +267,7 @@ class GridPermuton(Permuton):
 
     def sample_xy(self, rng: np.random.Generator, count: int):
         cum, xs, ys = self._cell_table()
-        pick = np.searchsorted(cum, rng.random(count), side="right")
-        pick = np.minimum(pick, len(xs) - 1)
+        pick = _pick_cells(cum, rng.random(count))
         u = rng.random(count)
         w = rng.random(count)
         x = (xs[pick] - 1 + u) / self.n
@@ -351,8 +383,7 @@ class SegmentPermuton(Permuton):
         probs = np.array([float(s.mass) for s in self.segments])
         probs = probs / probs.sum()
         cum = np.cumsum(probs)
-        pick = np.minimum(np.searchsorted(cum, rng.random(count), side="right"),
-                          len(self.segments) - 1)
+        pick = _pick_cells(cum, rng.random(count))
         t = rng.random(count)
         x0 = np.array([float(s.x0) for s in self.segments])
         y0 = np.array([float(s.y0) for s in self.segments])
@@ -496,8 +527,7 @@ class MixturePermuton(Permuton):
 
     def sample_xy(self, rng: np.random.Generator, count: int):
         cum = np.cumsum([float(w) for w in self.weights])
-        pick = np.minimum(np.searchsorted(cum, rng.random(count), side="right"),
-                          len(self.components) - 1)
+        pick = _pick_cells(cum, rng.random(count))
         x = np.empty(count)
         y = np.empty(count)
         for ci, comp in enumerate(self.components):
@@ -566,9 +596,12 @@ def density_mc(pi, mu: Permuton, samples: int, seed: int) -> tuple[float, float]
     if not isinstance(pi, Perm):
         pi = Perm(tuple(pi))
     k = len(pi)
-    target = np.asarray(pi.images, dtype=np.int64)
+    # a row shows pi exactly when it sorts in pi's order: one argsort, and no
+    # pattern index, which would overflow int64 past k = 20
+    order = np.argsort(pi.images)
     return mc_hits(
-        lambda rng, m: np.all(sample_patterns(mu, k, m, rng) == target, axis=1),
+        lambda rng, m: np.all(np.argsort(_sample_rows(mu, k, m, rng), axis=1) == order,
+                              axis=1),
         samples, seed)
 
 
@@ -596,13 +629,15 @@ def event_prob_mc(mu: Permuton, rho, sigma, samples: int, seed: int) -> tuple[fl
     k = len(rho)
     if len(sigma) != k:
         raise PermutonError("rho and sigma must have equal length")
-    rtar = np.asarray(rho.images, dtype=np.int64)
-    star = np.asarray(sigma.images, dtype=np.int64)
+    # ranks equal rho exactly when the argsort (the inverse of the ranks)
+    # equals rho's argsort, whatever order argsort gives tied entries
+    rorder = np.argsort(rho.images)
+    sorder = np.argsort(sigma.images)
 
     def draw(rng: np.random.Generator, m: int) -> np.ndarray:
         x, y = mu.sample_xy(rng, m * k)
-        return (np.all(counting.row_ranks(x.reshape(m, k)) == rtar, axis=1)
-                & np.all(counting.row_ranks(y.reshape(m, k)) == star, axis=1))
+        return (np.all(np.argsort(x.reshape(m, k), axis=1) == rorder, axis=1)
+                & np.all(np.argsort(y.reshape(m, k), axis=1) == sorder, axis=1))
 
     return mc_hits(draw, samples, seed)
 

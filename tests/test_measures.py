@@ -15,7 +15,7 @@ from permutons import (
     m_set, marginal_check, moment, pattern_histogram_mc, sample_patterns,
     sample_perm, segments_from_endpoints, uniform,
 )
-from permutons.measures import _multiset_densities, cdf_many
+from permutons.measures import _guide_table, _multiset_densities, _pick_cells, cdf_many
 
 from conftest import random_perm
 
@@ -129,6 +129,40 @@ def test_grid_cdf_known_values():
     assert cdf(mu, 1, F(1, 2)) == F(1, 2)
     assert cdf(mu, F(3, 4), F(3, 4)) == F(1, 2)
     assert moment(mu, 2, 2) == F(7, 144)
+
+
+def _grid_moment_oracle(mu: GridPermuton, p: int, q: int) -> Fraction:
+    """Cell-by-cell Fraction sum of the integral of x^p y^q."""
+    n = mu.n
+
+    def side(idx: int, power: int) -> Fraction:
+        hi, lo = F(idx, n), F(idx - 1, n)
+        return (hi ** (power + 1) - lo ** (power + 1)) * n / (power + 1)
+
+    return sum((m * side(i, p) * side(j, q) for (i, j), m in mu.cells.items()), F(0))
+
+
+def _averaged(*grids: GridPermuton) -> GridPermuton:
+    cells: dict = {}
+    for g in grids:
+        for c, m in g.cells.items():
+            cells[c] = cells.get(c, F(0)) + m / len(grids)
+    return GridPermuton(grids[0].n, cells)
+
+
+def test_grid_moment_matches_cell_sum_oracle():
+    rng = np.random.default_rng(5)
+    grids = [from_perm(random_perm(rng, n)) for n in (1, 5, 40)]
+    grids.append(_averaged(from_perm(Perm((1, 2))), from_perm(Perm((2, 1)))))
+    grids.append(_averaged(*(from_perm(random_perm(rng, 7)) for _ in range(3))))
+    # zero-mass cells, and a cell mass whose denominator is not the grid's
+    grids.append(GridPermuton(2, {(1, 1): F(1, 2), (2, 2): F(1, 2), (1, 2): F(0)}))
+    grids.append(GridPermuton(3, {(1, 1): F(1, 5), (1, 2): F(2, 15), (2, 1): F(2, 15),
+                                  (2, 2): F(1, 5), (3, 3): F(1, 3), (3, 1): F(0)}))
+    for mu in grids:
+        for p in range(4):
+            for q in range(4):
+                assert moment(mu, p, q) == _grid_moment_oracle(mu, p, q), (mu.n, p, q)
 
 
 def test_out_of_range_arguments_are_refused_with_their_exact_value():
@@ -347,6 +381,74 @@ def test_event_prob_symmetrizes_to_density():
 def test_sample_perm_basic():
     p = sample_perm(uniform(), 50, np.random.default_rng(0))
     assert len(p) == 50
+
+
+def _adversarial_cums():
+    """Cumulative masses of one entry, equal masses, zero masses (repeated
+    values), 300 clustered tiny masses, and rounded totals off 1."""
+    def cum(masses):
+        probs = np.asarray(masses, dtype=float)
+        return np.cumsum(probs / probs.sum())
+    yield cum([1.0])
+    for n in (2, 3, 7, 8, 400, 1000):
+        yield cum(np.ones(n))
+    yield cum([0, 1, 0, 0, 2, 0, 1, 0])
+    yield cum([1, 0, 0, 0])
+    yield cum(np.r_[np.full(300, 1e-9), 1.0])
+    yield cum(np.r_[1.0, np.full(300, 1e-9), 1.0])
+    yield cum(np.random.default_rng(3).random(400) ** 8)
+    yield np.cumsum([0.1] * 10)  # ends at 0.9999999999999999
+    yield np.cumsum([0.7, 0.2, 0.1 + 1e-16, 2e-16])  # ends past 1
+
+
+def test_pick_cells_is_the_binary_search():
+    rng = np.random.default_rng(11)
+    for cum in _adversarial_cums():
+        size = 1 << (len(cum) - 1).bit_length()
+        edges = np.r_[np.arange(size) / size, cum]
+        u = np.r_[edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                  rng.random(20_000)]
+        u = u[(u >= 0) & (u < 1)]
+        want = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        assert np.array_equal(_pick_cells(cum, u), want), cum[:5]
+        assert _guide_table(cum)[2] <= math.ceil(math.log2(len(cum) + 1))
+
+
+def test_pick_cells_needs_one_pass_on_equal_masses():
+    cum, _, _ = from_perm(Perm(tuple(range(400, 0, -1))))._cell_table()
+    assert _guide_table(cum)[2] == 1
+
+
+_HORIZONTAL = SegmentPermuton((Segment(F(0), F(1, 2), F(1), F(1, 2), F(1)),))
+_VERTICAL = SegmentPermuton((Segment(F(1, 2), F(0), F(1, 2), F(1), F(1)),))
+
+
+def test_persistent_ties_are_refused():
+    with pytest.raises(PermutonError, match="coordinate ties persisted"):
+        pattern_histogram_mc(_HORIZONTAL, 2, 100, 1)
+    with pytest.raises(PermutonError, match="coordinate ties persisted"):
+        density_mc((1, 2), _VERTICAL, 100, 1)
+
+
+def test_tie_resampling_keeps_its_seeded_streams():
+    # a tied row is redrawn whole: half of the mixture's draws lie on the segment
+    mix = MixturePermuton((_HORIZONTAL, uniform()), (F(1, 2), F(1, 2)))
+    assert pattern_histogram_mc(mix, 2, 10_000, 1) == {(1, 2): 5089, (2, 1): 4911}
+    # a draw on the zero-mass cell (1, 2) would give the pattern 21 more often
+    skew = GridPermuton(2, {(1, 1): F(1, 2), (2, 2): F(1, 2), (1, 2): F(0)})
+    assert pattern_histogram_mc(skew, 2, 1000, 3) == {(1, 2): 769, (2, 1): 231}
+    # raw events see tied y-values in argsort's order, as the ranks did
+    assert event_prob_mc(_HORIZONTAL, (1, 2), (1, 2), 1000, 1)[0] == 0.478
+    assert event_prob_mc(_HORIZONTAL, (2, 1), (2, 1), 1000, 1)[0] == 0.0
+
+
+def test_density_mc_takes_long_patterns():
+    identity = tuple(range(1, 26))
+    diagonal = SegmentPermuton((Segment(F(0), F(0), F(1), F(1), F(1)),))
+    anti = SegmentPermuton((Segment(F(0), F(1), F(1), F(0), F(1)),))
+    assert density_mc(identity, diagonal, 2_000, 1)[0] == 1.0
+    assert density_mc(identity[::-1], anti, 2_000, 1)[0] == 1.0
+    assert density_mc(identity[:-2] + (25, 24), diagonal, 2_000, 1)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
