@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .counting import all_patterns
+from .counting import _check_exact_size, all_patterns
 from .discrepancy import PREFIX_BOUND_MAX_N, discrepancy
 from .measures import (
     GridPermuton, MixturePermuton, Permuton, _check_unit, _frac, cdf_many,
@@ -58,6 +58,7 @@ from .perms import DEFAULT_SEED, Perm, all_densities, mc_chunks, mean_ci99
 _ZERO = Fraction(0)
 
 EXACT_GRID_LIMIT = 300  # exact grid integrals; beyond it auto mode samples
+QUADRATURE_MAX_RESOLUTION = 4000  # r^2 midpoints held at once, ~55 B each
 
 
 class AnalysisError(ValueError):
@@ -260,8 +261,10 @@ def lemma_integrals(mu: Permuton, budget: Budget | None = None) -> IntegralRepor
 
     Exact for grid permutons (n <= 300), flat or not, from one integer
     sweep over the n^2 lattice cells (_grid_cell_integrals); otherwise i1, i2
-    by Monte Carlo and i3 by the midpoint rule.  mode="mc" forces sampling
-    even on grids, including i3, so exact and sampled paths can be compared.
+    by Monte Carlo and i3 by the midpoint rule, whose r^2 midpoints are held
+    at once, so r > QUADRATURE_MAX_RESOLUTION is refused before any sampling.
+    mode="mc" forces sampling even on grids, including i3, so exact and
+    sampled paths can be compared.
 
     Each integral is also the probability of a 4-point event (i1: P1, P2 <=
     P0; i2: P1 <= P0, X2 < X0, Y3 < Y0; i3: P0, P1 <= (X2, Y3)), so
@@ -273,6 +276,10 @@ def lemma_integrals(mu: Permuton, budget: Budget | None = None) -> IntegralRepor
         g = _grid_cell_integrals(mu)
         return IntegralReport(g["i1"], g["i2"], g["i3"], ("exact",) * 3,
                               (0.0, 0.0, 0.0))
+    if budget.mode != "mc" and budget.resolution > QUADRATURE_MAX_RESOLUTION:
+        raise AnalysisError(
+            f"quadrature resolution {budget.resolution} is over the limit "
+            f"QUADRATURE_MAX_RESOLUTION = {QUADRATURE_MAX_RESOLUTION}")
     s1, s2 = _child_seeds(budget.seed, 2)
     (i1, c1), (i2, c2) = _mc_f_integrals(mu, budget.samples, s1)
     if budget.mode == "mc":
@@ -535,7 +542,9 @@ def convergence_experiment(mu: Permuton, k: int, sizes: Sequence[int],
                            seed: int = DEFAULT_SEED) -> list[ConvergenceRow]:
     """Sample one n-point permutation per size; tabulate k-pattern densities,
     its discrepancy (exact to n = 1200, grid lower bound beyond), and the
-    prefix upper bound 4 sup|prefix dev|, which limits n to PREFIX_BOUND_MAX_N."""
+    prefix upper bound 4 sup|prefix dev|, which limits n to PREFIX_BOUND_MAX_N.
+    Every size is checked against that limit and the exact counting limits
+    for k before the first sample."""
     if list(sizes) != sorted(set(int(s) for s in sizes)) or not sizes:
         raise AnalysisError("sizes must be strictly increasing and non-empty")
     if sizes[0] < k:
@@ -543,6 +552,8 @@ def convergence_experiment(mu: Permuton, k: int, sizes: Sequence[int],
     if sizes[-1] > PREFIX_BOUND_MAX_N:
         raise AnalysisError(f"sizes above {PREFIX_BOUND_MAX_N}: the prefix bound "
                             f"is refused there")
+    for n in sizes:
+        _check_exact_size(k, n)
     rows: list[ConvergenceRow] = []
     seeds = _child_seeds(seed, len(sizes))
     for n, s in zip(sizes, seeds):

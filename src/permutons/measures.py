@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, permutations
+from itertools import accumulate, chain, combinations_with_replacement, permutations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -706,8 +706,10 @@ def grid_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
     formula t(pi, mu_tau) = (k!/n^k) * sum over decompositions of
     occ(sigma, tau) / prod (m_t!)^2, read from the integer terms in
     ``FLAT_TERMS`` and each profile(tau, r), r <= k, once.  Other grids
-    make one pass over the cell multisets, with the two independent
-    uniform tie-break orders inside shared rows and columns.
+    make one numpy pass over the cell multisets (refused beyond
+    GRID_MULTISET_MAX), grouped by how their points tie in rows and
+    columns, with the two independent uniform tie-break orders inside
+    shared rows and columns (see _multiset_densities).
     The table is built once per (mu, k) and memoised on mu; the caller gets
     a fresh dict.
     """
@@ -747,73 +749,44 @@ def _flat_densities(tau: tuple[int, ...], k: int) -> dict[tuple[int, ...], Fract
 
 
 def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
-    """One pass over the cell multisets: O((#cells + k - 1 choose k) * (k!)^2),
-    refused beyond GRID_MULTISET_MAX multisets before any work."""
+    """Exact t(pi, mu) from one numpy pass over the cell multisets, refused
+    beyond GRID_MULTISET_MAX multisets before any work.  Each multiset weighs
+    (k!/prod mult!) prod (D m_c) in Python ints, D the lcm of the mass
+    denominators.  Its tie shape (per axis, how many of its points lie
+    strictly before each point; at most 8 * 75 shapes at k = 4) fixes the law
+    of its pattern: under the (k!)^2 global tie-break orders sigma, rho, with
+    keys rank * k + sigma_p in x and rank * k + rho_p in y, every order inside
+    a tie group is equally likely.  t(pi) = sum weight count(pi) / (D^k (k!)^2)."""
     cells = [(c, m) for c, m in sorted(mu.cells.items()) if m > 0]
     count = math.comb(len(cells) + k - 1, k)
     if count > GRID_MULTISET_MAX:
         raise PermutonError(
             f"exact densities of this grid at k = {k} take {count} cell multisets, "
             f"over the limit GRID_MULTISET_MAX = {GRID_MULTISET_MAX}; use --mode mc")
-    table = {pi: _ZERO for pi in counting.all_patterns(k)}
-    kfact = math.factorial(k)
-    for multiset in combinations_with_replacement(range(len(cells)), k):
-        weight = Fraction(kfact)
-        mult: dict[int, int] = {}
-        for ci in multiset:
-            mult[ci] = mult.get(ci, 0) + 1
-        for c_idx, m in mult.items():
-            weight = weight * cells[c_idx][1] ** m / math.factorial(m)
-        tally, combos = _induced_patterns([cells[ci][0] for ci in multiset])
-        for pi, hits in tally.items():
-            table[pi] += weight * Fraction(hits, combos)
-    return table
-
-
-def _induced_patterns(coords: list[tuple[int, int]]) -> tuple[dict, int]:
-    """(count per induced pattern, number of tie-break order pairs) for
-    points in the given cells, with uniform independent tie-break orders
-    inside shared rows and columns."""
-    k = len(coords)
-    xs = list(_rank_assignments(_tie_groups([c[0] for c in coords]), k))
-    ys = list(_rank_assignments(_tie_groups([c[1] for c in coords]), k))
-    tally: dict[tuple[int, ...], int] = {}
-    induced = [0] * k
-    for xr in xs:
-        for yr in ys:
-            for p in range(k):
-                induced[xr[p] - 1] = yr[p]
-            key = tuple(induced)
-            tally[key] = tally.get(key, 0) + 1
-    return tally, len(xs) * len(ys)
-
-
-def _tie_groups(keys: list[int]) -> list[list[int]]:
-    groups: dict[int, list[int]] = {}
-    for idx, key in enumerate(keys):
-        groups.setdefault(key, []).append(idx)
-    return [groups[key] for key in sorted(groups)]
-
-
-def _rank_assignments(groups: list[list[int]], k: int):
-    """All rank vectors: groups take consecutive rank blocks in key order,
-    each internal order equally likely."""
-    base = [0] * k
-    start = 1
-    spans = []
-    for g in groups:
-        spans.append((g, start))
-        start += len(g)
-    def rec(gi: int, cur: list[int]):
-        if gi == len(spans):
-            yield tuple(cur)
-            return
-        g, s = spans[gi]
-        for order in permutations(range(len(g))):
-            for idx, o in zip(g, order):
-                cur[idx] = s + o
-            yield from rec(gi + 1, cur)
-    yield from rec(0, base)
+    sets = np.fromiter(chain.from_iterable(combinations_with_replacement(
+        range(len(cells)), k)), dtype=np.int64, count=count * k).reshape(count, k)
+    run = mults = np.ones(count, dtype=np.int64)  # prod mult! along sorted rows
+    for i in range(1, k):
+        run = np.where(sets[:, i] == sets[:, i - 1], run + 1, 1)
+        mults = mults * run
+    denom = math.lcm(*(m.denominator for _, m in cells))
+    mass = np.array([int(m * denom) for _, m in cells], dtype=object)
+    weight = mass[sets].prod(axis=1) * (math.factorial(k) // mults)
+    pts = np.array([c for c, _ in cells], dtype=np.int64)[sets].transpose(0, 2, 1)
+    below = (pts[:, :, None, :] < pts[:, :, :, None]).sum(axis=3).reshape(count, 2 * k)
+    shapes, inverse = np.unique(below, axis=0, return_inverse=True)
+    orders = np.array(list(permutations(range(k))), dtype=np.int64)
+    xkey, ykey = shapes[:, None, :k] * k + orders, shapes[:, None, k:] * k + orders
+    rows = np.take_along_axis(ykey[:, :, None], np.argsort(xkey)[:, None], axis=3)
+    fk = len(orders)  # one bincount, pattern indices offset per shape
+    idx = counting.pattern_index(rows.reshape(-1, k)).reshape(len(shapes), -1)
+    counts = np.bincount((idx + fk * np.arange(len(shapes))[:, None]).ravel(),
+                         minlength=fk * len(shapes)).reshape(len(shapes), fk)
+    totals = np.zeros(len(shapes), dtype=object)
+    np.add.at(totals, inverse.ravel(), weight)
+    scale = denom ** k * math.factorial(k) ** 2
+    return {pi: Fraction(int(t), scale)
+            for pi, t in zip(counting.all_patterns(k), totals @ counts)}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from permutons import (
     AnalysisError, BracketingError, Budget, Perm, cs_chain, density_mc,
     find_b, find_nu, from_perm, identity_check, lemma_integrals, m_set,
     nu_mixture, prefix_bound_check, t_id3_segment, uniform,
-    convergence_experiment, PermutonError,
+    convergence_experiment, PermError, PermutonError,
 )
 from permutons import analysis
 from permutons.analysis import RootResult, _bracket_and_bisect
@@ -291,6 +291,41 @@ def test_convergence_experiment_refuses_sizes_past_the_prefix_bound(monkeypatch)
     monkeypatch.setattr(analysis, "sample_patterns", no_sampling)
     with pytest.raises(AnalysisError, match=f"above {PREFIX_BOUND_MAX_N}"):
         convergence_experiment(uniform(), 3, (30, PREFIX_BOUND_MAX_N + 1))
+
+
+@pytest.mark.parametrize("k, sizes", [(5, (60, 61)), (4, (5000, 10001))])
+def test_convergence_experiment_refuses_counting_sizes_before_sampling(
+        monkeypatch, k, sizes):
+    def no_sampling(*_):
+        raise AssertionError("sampled before the size check")
+    monkeypatch.setattr(analysis, "sample_patterns", no_sampling)
+    with pytest.raises(PermError, match=rf"^k = {k} exact profiles limited to "
+                                        rf"\|tau\| <= {sizes[-1] - 1}$"):
+        convergence_experiment(uniform(), k, sizes)
+
+
+def test_quadrature_resolution_is_refused_before_any_sampling(monkeypatch):
+    limit = analysis.QUADRATURE_MAX_RESOLUTION
+    calls = []
+    monkeypatch.setattr(analysis, "_mc_f_integrals",
+                        lambda *a: calls.append("mc") or ((0.0, 0.0), (0.0, 0.0)))
+    monkeypatch.setattr(analysis, "_quad_f2_lambda",
+                        lambda mu, r: calls.append(r) or (0.0, 0.0))
+    window = m_set(F(1, 2))
+    assert lemma_integrals(window, Budget(resolution=limit)).methods[2] == "quadrature"
+    assert calls == ["mc", limit]
+    calls.clear()
+    for budget in (Budget(resolution=limit + 1), Budget(resolution=20000)):
+        with pytest.raises(AnalysisError, match=rf"^quadrature resolution "
+                                                rf"{budget.resolution} is over"):
+            lemma_integrals(window, budget)
+        with pytest.raises(AnalysisError):
+            cs_chain(window, budget)
+    assert calls == []
+    # no quadrature runs on the exact grid path or under mode="mc"
+    assert lemma_integrals(from_perm(Perm((2, 1))), Budget(resolution=20000)).exact
+    rep = lemma_integrals(window, Budget(samples=100, resolution=20000, mode="mc"))
+    assert rep.methods == ("mc", "mc", "mc")
 
 
 def test_prefix_bound_check_fixtures():

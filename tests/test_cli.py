@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from permutons import Perm
+from permutons import Perm, analysis
 from permutons import symmetry as symmetry_mod
 from permutons.cli import main
 
@@ -148,6 +148,21 @@ def test_resolution_zero_is_refused_not_defaulted(capsys, grid_file):
         code, out, err = run(capsys, *argv, "--resolution", "0")
         assert code == 1 and out == "" and "resolution" in err, argv
         assert run(capsys, *argv)[0] == 0, argv
+
+
+def test_quadrature_resolution_past_the_limit_is_refused(
+        capsys, monkeypatch, mset_file, tmp_path):
+    def refuse(*_):
+        raise AssertionError("integrated before the resolution check")
+    # a missed refusal ends in an internal error, not in r^2 midpoints
+    monkeypatch.setattr(analysis, "_mc_f_integrals", refuse)
+    monkeypatch.setattr(analysis, "_quad_f2_lambda", refuse)
+    out = tmp_path / "out.txt"
+    for cmd in ("integrals", "chain"):
+        code, text, err = run(capsys, cmd, mset_file, "--resolution", "20000",
+                              "--out", str(out))
+        assert code == 1 and text == "" and not out.exists(), cmd
+        assert "QUADRATURE_MAX_RESOLUTION = 4000" in err, cmd
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])

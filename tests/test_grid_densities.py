@@ -12,7 +12,8 @@ import pytest
 from permutons import (
     AnalysisError, Budget, GridPermuton, Perm, PermutonError, all_patterns,
     cs_chain, density_exact_grid, from_perm, grid_densities, identity_check,
-    lemma_integrals, load_permuton, m_set, symmetry_defect, uniform,
+    lemma_integrals, load_permuton, m_set, marginal_check, symmetry_defect,
+    uniform,
 )
 from permutons import analysis, counting, measures
 from permutons.cli import main
@@ -21,6 +22,8 @@ from permutons.analysis import _LEMMA_COEFFICIENTS, _event_integrals, _grid_cell
 from conftest import FIXTURES, random_perm
 
 F = Fraction
+ROTATION5 = FIXTURES / "rotation5.permuton"
+INFLATABLE17 = FIXTURES / "inflatable17.permuton"
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +136,11 @@ def test_table_matches_oracle_on_every_flat_grid():
 
 def test_table_matches_oracle_on_nonpermutation_grids():
     rng = np.random.default_rng(7)
+    t = F(1, 10 ** 7)  # D^4 (k!)^2 is far past 2^63
     grids = [uniform(), GridPermuton(2, {(1, 1): F(1, 4), (1, 2): F(1, 4),
-                                         (2, 1): F(1, 4), (2, 2): F(1, 4)})]
+                                         (2, 1): F(1, 4), (2, 2): F(1, 4)}),
+             GridPermuton(2, {(1, 1): t, (1, 2): F(1, 2) - t,
+                              (2, 1): F(1, 2) - t, (2, 2): t})]
     grids += [_average_grid(rng, m, parts) for m, parts in
               ((2, 2), (3, 2), (3, 3), (4, 2))]
     for mu in grids:
@@ -143,6 +149,9 @@ def test_table_matches_oracle_on_nonpermutation_grids():
             table = grid_densities(mu, k)
             assert sum(table.values()) == 1
             assert table == _oracle_table(mu, k), (mu, k)
+    rotation = load_permuton(ROTATION5)
+    for k in range(1, 4):
+        assert grid_densities(rotation, k) == _oracle_table(rotation, k), k
 
 
 def test_density_exact_grid_is_a_table_lookup():
@@ -169,7 +178,7 @@ def test_oversized_cell_multiset_pass_is_refused_before_any_work(
         monkeypatch, tmp_path, capsys):
     # a filled 7 x 7 grid at k = 4 has C(52, 4) = 270,725 cell multisets
     assert math.comb(49 + 3, 4) > measures.GRID_MULTISET_MAX
-    monkeypatch.setattr(measures, "_induced_patterns", None)  # no multiset is visited
+    monkeypatch.setattr(measures, "combinations_with_replacement", None)  # none enumerated
     mass = F(1, 49)
     grid = GridPermuton(7, {(i, j): mass for i in range(1, 8) for j in range(1, 8)})
     refusal = (rf"270725 cell multisets, over the limit GRID_MULTISET_MAX = "
@@ -184,6 +193,42 @@ def test_oversized_cell_multiset_pass_is_refused_before_any_work(
     assert main(["symmetry", str(path), "4", "--out", str(out)]) == 1
     assert "GRID_MULTISET_MAX" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the witnesses that 3-point densities do not force quasirandomness
+
+
+def test_rotation_grid_is_3_symmetric_but_not_4_symmetric():
+    mu = load_permuton(ROTATION5)
+    assert mu.permutation is None and min(mu.cells.values()) > 0
+    assert all(mu.cells[(i, j)] == mu.cells[(j, 6 - i)]
+               for i in range(1, 6) for j in range(1, 6))
+    marginals = marginal_check(mu, 101, 0.0)
+    assert marginals.passed and marginals.max_deviation == 0
+    three = symmetry_defect(mu, 3)
+    assert three.exact and three.defect == 0
+    four = symmetry_defect(mu, 4)
+    assert four.exact and four.defect == F(80033585013, 1200500000000000)
+    assert four.witness == (3, 1, 4, 2)
+
+
+def test_rotation_grid_integrals():
+    # 3-symmetry forces i1 = 1/9; i2 and i3 carry the 4-point content (the
+    # fixture-wide sweep test checks these against the 4-table)
+    rep = lemma_integrals(load_permuton(ROTATION5))
+    assert rep.exact
+    assert rep.i1 == F(1, 9)
+    assert rep.i2 - F(1, 9) == F(-837, 9800000000)
+    assert rep.i3 - F(1, 9) == F(423, 2450000000)
+
+
+def test_order_17_flat_grid_agrees_across_engines():
+    mu = load_permuton(INFLATABLE17)
+    assert mu.permutation is not None and mu.n == 17
+    for k in (3, 4):
+        flat, table = grid_densities(mu, k), measures._multiset_densities(mu, k)
+        assert table == flat and list(table) == list(flat), k
 
 
 # ---------------------------------------------------------------------------

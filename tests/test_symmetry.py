@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutons import (
-    Perm, from_perm, grid_densities, is_inflatable, m_set, profile,
+    Perm, from_perm, grid_densities, is_inflatable, load_permuton, m_set, profile,
     reflection_report, search_inflatable, symmetry_defect, uniform,
 )
 from permutons import symmetry as symmetry_module
@@ -19,7 +19,7 @@ from permutons.perms import defect_witness
 from permutons.symmetry import _W3, _admitted_occ12, _is_orbit_representative, \
     _low_profiles, _order_admissible, _order_conditions, _perm_chunks, _score_hits
 
-from conftest import BALANCED_9
+from conftest import BALANCED_9, FIXTURES
 
 F = Fraction
 
@@ -71,6 +71,17 @@ def test_is_inflatable_positive_control():
     # occ_12 = (n^2 - n)/4 is attainable at n = 4
     ok, v = is_inflatable(Perm((2, 4, 1, 3)), 2)
     assert ok and v.defect == 0
+
+
+def test_order_17_fixture_is_3_inflatable():
+    # 17 is the smallest order with a hit: below it the gate admits only 8
+    # and 9 (test_order_gate_follows_the_congruences), both empty by search
+    tau = load_permuton(FIXTURES / "inflatable17.permuton").permutation
+    ok, v = is_inflatable(tau, 3)
+    assert ok and v.exact and v.defect == 0
+    four = symmetry_defect(from_perm(tau), 4)
+    assert four.exact and four.defect == F(614, 14739)
+    assert not is_inflatable(tau, 4)[0]
 
 
 def test_singleton_is_not_inflatable():
