@@ -151,8 +151,6 @@ def build_parser() -> _Parser:
              out=True)
     sp.add_argument("n", type=int)
     sp.add_argument("k", type=int)
-    sp.add_argument("--no-prune", action="store_true",
-                    help="score every permutation instead of orbit minima")
 
     sp = add("integrals", "the three distinguishing integrals of a permuton",
              seed=True, samples=True, resolution=True, out=True, mode=True)
@@ -282,8 +280,7 @@ def _run_inflatable(args) -> list[str]:
 
 
 def _run_search(args) -> list[str]:
-    found = symmetry.search_inflatable(args.n, args.k,
-                                       prune=not args.no_prune)
+    found = symmetry.search_inflatable(args.n, args.k)
     lines = [p.one_line() for p in found]
     lines.append(f"count={len(found)}")
     if found:

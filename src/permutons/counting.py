@@ -18,7 +18,9 @@ sums at most 2^14 products of at most n^2, exactly in float64).
 ``_check_exact_size`` is the one table of the sizes the engines take:
 k <= 6, |tau| <= 60 for k = 5, 6, PROFILE4_MAX_N = 10^4 for k = 4 and
 PROFILE3_MAX_N = 3 * 10^6 for k = 3 (C(n, 3) passes 2^63 near 3.8 * 10^6).
-Larger requests are refused with ``PermError`` before any work.
+Larger requests are refused with ``PermError`` before any work, and
+``profile`` then takes only a permutation of 1..n (``perm_array``); the
+``_naive`` oracles count patterns of any sequence.
 """
 
 from __future__ import annotations
@@ -48,6 +50,21 @@ def _check_exact_size(k: int, n: int) -> None:
     limit = {3: PROFILE3_MAX_N, 4: PROFILE4_MAX_N, 5: 60, 6: 60}.get(k, n)  # k <= 2: none
     if n > limit:
         raise PermError(f"k = {k} exact profiles limited to |tau| <= {limit}")
+
+
+def perm_array(tau: Sequence[int]) -> np.ndarray:
+    """tau as a 1-D int64 array, refused with PermError unless it is a
+    permutation of 1..n, n >= 1.  The engines read values as ranks."""
+    v = np.asarray(tau)
+    n = len(v) if v.ndim == 1 else 0
+    if not n or v.dtype.kind not in "iu" or v.min() < 1 or v.max() > n:
+        raise PermError(f"not a permutation of 1..{n}")
+    v = v.astype(np.int64, copy=False)
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[v] = True
+    if not seen[1:].all():
+        raise PermError(f"not a permutation of 1..{n}: repeated values")
+    return v
 
 
 def pattern_of(values: Sequence[int]) -> Pattern:
@@ -156,13 +173,13 @@ def inversions(tau: Sequence[int]) -> int:
     return n * (n - 1) // 2 - int(left_smaller_counts(tau).sum())
 
 
-def _profile1(tau: Sequence[int]) -> Dict[Pattern, int]:
-    return {(1,): len(tau)}
+def _profile1(v: np.ndarray) -> Dict[Pattern, int]:
+    return {(1,): len(v)}
 
 
-def _profile2(tau: Sequence[int]) -> Dict[Pattern, int]:
-    n = len(tau)
-    asc = int(left_smaller_counts(tau).sum())
+def _profile2(v: np.ndarray) -> Dict[Pattern, int]:
+    n = len(v)
+    asc = int(left_smaller_counts(v).sum())
     return {(1, 2): asc, (2, 1): n * (n - 1) // 2 - asc}
 
 
@@ -189,8 +206,7 @@ def three_counts(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.stack((c123, c132, c213, c231, c312, c321))
 
 
-def _profile3(tau: Sequence[int]) -> Dict[Pattern, int]:
-    v = np.asarray(tau, dtype=np.int64)
+def _profile3(v: np.ndarray) -> Dict[Pattern, int]:
     counts = three_counts(v, left_smaller_counts(v))
     return {p: int(x) for p, x in zip(all_patterns(3), counts)}
 
@@ -230,7 +246,7 @@ def _relation_gaps(table4: Dict[Pattern, int], table3: Dict[Pattern, int],
             for sigma, terms in _OCC3_IN4.items()}
 
 
-def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
+def _profile4(v: np.ndarray) -> Dict[Pattern, int]:
     """O(n^2) 4-pattern table.
 
     One sweep classifies each quadruple (i < j < k < l) by the middle pair
@@ -253,11 +269,10 @@ def _profile4(tau: Sequence[int]) -> Dict[Pattern, int]:
     sums stay below 2^14 * n^2 < 2^41 < 2^53 and are exact.  They
     accumulate in int64, where the totals are quadruple counts below n^4.
     """
-    n = len(tau)
+    n = len(v)
     table: Dict[Pattern, int] = {p: 0 for p in all_patterns(4)}
     if n < 4:
         return table
-    v = np.asarray(tau, dtype=np.int64)
     c_self = left_smaller_counts(v)       # c_self[p] = #{q < p: v_q < v_p}
     cols = (np.arange(n, dtype=float), v.astype(float), c_self.astype(float))
 
@@ -328,11 +343,10 @@ _SWEEP_CELLS = 1 << 14   # entries per block of the 4-profile sweep
 _CHUNK = 1 << 19
 
 
-def _profile_enum(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
+def _profile_enum(v: np.ndarray, k: int) -> Dict[Pattern, int]:
     """Chunked subset enumeration for k = 5, 6."""
-    v = np.asarray(tau, dtype=np.int64)
     counts = np.zeros(math.factorial(k), dtype=np.int64)
-    flat = chain.from_iterable(combinations(range(len(tau)), k))
+    flat = chain.from_iterable(combinations(range(len(v)), k))
     while len(idx := np.fromiter(islice(flat, _CHUNK * k), dtype=np.int64)):
         counts += np.bincount(pattern_index(v[idx.reshape(-1, k)]),
                               minlength=len(counts))
@@ -340,17 +354,19 @@ def _profile_enum(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
 
 
 def profile(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
-    """Occurrence count of every length-k pattern in tau."""
+    """Occurrence count of every length-k pattern in tau, a permutation of
+    1..n; other sequences are refused with PermError."""
     _check_exact_size(k, len(tau))
+    v = perm_array(tau)
     if k == 1:
-        return _profile1(tau)
+        return _profile1(v)
     if k == 2:
-        return _profile2(tau)
+        return _profile2(v)
     if k == 3:
-        return _profile3(tau)
+        return _profile3(v)
     if k == 4:
-        return _profile4(tau)
-    return _profile_enum(tau, k)
+        return _profile4(v)
+    return _profile_enum(v, k)
 
 
 def occurrences(pattern: Pattern, tau: Sequence[int]) -> int:

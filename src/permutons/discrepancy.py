@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import PermError
+from .counting import PermError, perm_array
 
 # the (n+1)^2 int64 corner table is 32 MB here, about a third of the peak
 EXACT_MAX_N = 2000
@@ -51,14 +51,9 @@ class DiscrepancyResult:
         return self.value
 
 
-def _as_values(tau) -> np.ndarray:
-    images = getattr(tau, "images", tau)
-    return np.asarray(images, dtype=np.int64)
-
-
 def discrepancy_brute(tau) -> DiscrepancyResult:
     """O(n^4) oracle over all interval pairs, n <= 50."""
-    v = _as_values(tau)
+    v = np.asarray(getattr(tau, "images", tau), dtype=np.int64)
     n = len(v)
     if n > 50:
         raise ValueError("brute-force discrepancy limited to n <= 50")
@@ -130,12 +125,13 @@ def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
 
 
 def discrepancy(tau, mode: str = "exact", resolution: int = 1000) -> DiscrepancyResult:
-    """Interval discrepancy of a permutation, by mode (see module docs)."""
+    """Interval discrepancy of a permutation of 1..n, by mode (see module
+    docs); other sequences are refused with PermError."""
     if mode not in ("exact", "prefix_bound", "grid"):
         raise ValueError(f"unknown discrepancy mode {mode!r}")
     if mode == "grid" and resolution < 2:
         raise PermError("grid resolution must be >= 2")
-    v = _as_values(tau)
+    v = perm_array(getattr(tau, "images", tau))
     n = len(v)
     if n == 1:
         return DiscrepancyResult(0.0, 0.0, 0.0, mode, 0, 1)

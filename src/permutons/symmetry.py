@@ -11,8 +11,10 @@ Monte Carlo histograms, and take their defect and witness from
 flat-grid formula's integer terms, ``measures.FLAT_TERMS[3]``: t(pi, mu_tau)
 = 1/6 for all six pi exactly when every sum of w * occ_r(sigma) equals n^3,
 so the sweep runs entirely in int64 numpy batches; orders where no occ(12)
-lets every sum reach n^3 (all n <= 10 but 8 and 9) are never swept, and at
-orders 8 and 9 only rows whose occ(12) could do so (one in four) are scored.
+lets every sum reach n^3 (all n <= 10 but 8 and 9) are never swept.  At
+orders 8 and 9 only rows whose occ(12) could do so (one in four) are
+generated, and of those only the rows whose two end values pick one member
+of every reverse/complement orbit are scored.
 """
 
 from __future__ import annotations
@@ -121,19 +123,18 @@ def _tail_table(t: int) -> tuple[np.ndarray, np.ndarray]:
     return table, occ12
 
 
-def _perm_chunks(n: int, admitted: np.ndarray | None = None) -> Iterable[np.ndarray]:
-    """S_n in lexicographic order, one block per (n - t)-prefix, t = min(n, 8);
-    given a mask over occ(12), only the rows it admits.  A row's occ(12) is the
-    prefix's pairs p < q over all later q plus its tail pattern's occ(12)."""
+def _perm_chunks(n: int, admitted: np.ndarray) -> Iterable[np.ndarray]:
+    """The rows of S_n whose occ(12) the mask over 0..C(n, 2) admits, in
+    lexicographic order, one block per (n - t)-prefix, t = min(n, 8).  A row's
+    occ(12) is the prefix's pairs p < q over all later q plus its tail
+    pattern's occ(12)."""
     t = min(n, _TAIL)
     tails, tail_occ12 = _tail_table(t)
     values = range(1, n + 1)
     for prefix in itertools.permutations(values, n - t):
         first = prefix + tuple(sorted(set(values) - set(prefix)))  # the block's row 0
-        rows = tails
-        if admitted is not None:
-            base = sum(q > p for i, p in enumerate(prefix) for q in first[i + 1:])
-            rows = tails[admitted[base + tail_occ12]]
+        base = sum(q > p for i, p in enumerate(prefix) for q in first[i + 1:])
+        rows = tails[admitted[base + tail_occ12]]
         block = np.empty((len(rows), n), dtype=np.int64)
         block[:, :n - t] = prefix
         block[:, n - t:] = np.array(first[n - t:], dtype=np.int64)[rows]
@@ -173,56 +174,42 @@ def _order_conditions(n: int) -> dict:
 
 
 def _admitted_occ12(n: int) -> np.ndarray:
-    """Mask of the occ(12) that meet every pattern's condition, as any hit's must."""
+    """Mask of the occ(12) that meet every pattern's condition, as any hit's
+    must.  For n <= 200 it admits some occ(12) exactly at n = 0, 1 (mod 8)
+    and 0, 1, 8 (mod 9)."""
     return np.logical_and.reduce(list(_order_conditions(n).values()))
 
 
-def _order_admissible(n: int) -> bool:
-    """Whether _admitted_occ12(n) admits any occ(12): for n <= 200, exactly
-    n = 0, 1 (mod 8) and 0, 1, 8 (mod 9)."""
-    return bool(_admitted_occ12(n).any())
-
-
-_ENCODE_BASE = 16
-
-
-def _encode(v: np.ndarray) -> np.ndarray:
-    n = v.shape[-1]
-    powers = _ENCODE_BASE ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return v @ powers
+def _end_filter(v: np.ndarray) -> np.ndarray:
+    """Rows with v_1 < v_n and v_1 + v_n <= n + 1.  Reverse swaps the two end
+    values and reverse-complement maps them to n + 1 less each other's, so
+    every reverse/complement orbit of S_n has a row here."""
+    first, last = v[:, 0], v[:, -1]
+    return (first < last) & (first + last <= v.shape[1] + 1)
 
 
 def _orbit_variants(v: np.ndarray) -> np.ndarray:
-    """The 8 reverse/complement/inverse images, shape (8, m, n)."""
-    m, n = v.shape
-    inv = np.argsort(v, axis=1) + 1
-    out = []
-    for base in (v, inv):
-        rev = base[:, ::-1]
-        out.extend([base, rev, n + 1 - base, n + 1 - rev])
-    return np.stack(out)
+    """The 4 reverse/complement images, shape (4, m, n)."""
+    rev = v[:, ::-1]
+    n = v.shape[1]
+    return np.stack([v, rev, n + 1 - v, n + 1 - rev])
 
 
-def _is_orbit_representative(v: np.ndarray) -> np.ndarray:
-    codes = _encode(_orbit_variants(v))
-    return codes[0] == codes.min(axis=0)
-
-
-def search_inflatable(n: int, k: int, prune: bool = True,
-                      threads: int = 1) -> list[Perm]:
+def search_inflatable(n: int, k: int, threads: int = 1) -> list[Perm]:
     """All k-inflatable permutations in S_n, sorted lexicographically.
 
-    Orders that fail _order_admissible (all n <= 10 but 8 and 9) return []
-    before enumeration; the rest score only the n!/4 rows whose occ(12)
-    _admitted_occ12 admits, as every hit's is, in numpy blocks of up to 8!
-    rows that share a prefix.  With prune, only lexicographic minima of the
-    8-element reverse/complement/inverse orbits are scored and hits are
-    expanded back to full orbits; the defect is orbit-invariant, so a hit's
-    orbit minimum is an admitted hit and the result set is unchanged.  k = 4
-    filters by exact 3-symmetry first (k-symmetry of any measure forces
-    (k-1)-symmetry by marginalization) and then applies the exact rational
-    4-pattern verdict to survivors.  threads is accepted for compatibility
-    and ignored: the search runs in one thread.
+    Orders where _admitted_occ12 admits no occ(12) (all n <= 10 but 8 and 9)
+    return [] before enumeration.  The rest generate only the n!/4 rows whose
+    occ(12) it admits, as every hit's is, in numpy blocks of up to 8! rows
+    that share a prefix, and score those that pass _end_filter (25,200 of
+    the 90,720 at order 9).  Hits are expanded by their four
+    reverse/complement images: exact 3-symmetry is invariant under both
+    maps, so an orbit that holds a hit has its filtered row among the hits,
+    admitted and scored.  k = 4 filters by exact 3-symmetry first
+    (k-symmetry of any measure forces (k-1)-symmetry by marginalization)
+    and then applies the exact rational 4-pattern verdict to survivors.
+    threads is accepted for compatibility and ignored: the search runs in
+    one thread.
     """
     if not 2 <= n <= 10:
         raise PermutonError("search supports 2 <= n <= 10")
@@ -232,26 +219,14 @@ def search_inflatable(n: int, k: int, prune: bool = True,
     if not admitted.any():
         return []
 
-    hits: list[tuple[int, ...]] = []
+    found: set[tuple[int, ...]] = set()
     for block in _perm_chunks(n, admitted):
-        if prune:
-            block = block[_is_orbit_representative(block)]
-        hits.extend(map(tuple, block[_score_hits(block)].tolist()))
-
-    if prune and hits:
-        arr = np.array(sorted(hits), dtype=np.int64)
-        expanded = _orbit_variants(arr).reshape(-1, n)
-        hits = sorted({tuple(int(x) for x in row) for row in expanded})
-    else:
-        hits = sorted(set(hits))
-
+        block = block[_end_filter(block)]
+        images = _orbit_variants(block[_score_hits(block)]).reshape(-1, n)
+        found.update(map(tuple, images.tolist()))
+    hits = sorted(found)
     if k == 4:
-        survivors = []
-        for h in hits:
-            verdict = _defect_exact(from_perm(h), 4)
-            if verdict.defect == 0:
-                survivors.append(h)
-        hits = survivors
+        hits = [h for h in hits if _defect_exact(from_perm(h), 4).defect == 0]
     return [Perm(h) for h in hits]
 
 

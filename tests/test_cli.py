@@ -103,7 +103,7 @@ def test_search_reports_reflections(capsys, monkeypatch):
     fam = [Perm((4, 3, 8, 9, 5, 1, 2, 7, 6)), Perm((4, 7, 2, 9, 5, 1, 8, 3, 6))]
     fam += [t.complement() for t in fam]
     monkeypatch.setattr(symmetry_mod, "search_inflatable",
-                        lambda n, k, prune=True, threads=1: sorted(fam))
+                        lambda n, k, threads=1: sorted(fam))
     code, out, _ = run(capsys, "search-inflatable", "9", "3")
     assert code == 0
     assert "count=4" in out
@@ -215,6 +215,8 @@ def test_usage_errors(capsys):
     assert code == 1 and "usage" in err
     code, _, err = run(capsys, "search-inflatable", "5", "3", "--threads", "2")
     assert code == 1 and "error: unrecognized arguments: --threads 2" in err
+    code, _, err = run(capsys, "search-inflatable", "5", "3", "--no-prune")
+    assert code == 1 and "error: unrecognized arguments: --no-prune" in err
 
 
 def test_missing_file(capsys):

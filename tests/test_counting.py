@@ -276,3 +276,21 @@ def test_profile_refuses_through_the_size_table():
         profile(range(1, 10 ** 6), 5)
     with pytest.raises(PermError, match="out of range"):
         profile((1, 2), 0)
+
+
+@pytest.mark.parametrize("tau, k", [
+    ((5, 7, 9), 3),              # the engines read values as ranks: occ(123) came out -4
+    ((3, 9, 4, 12, 1), 4),       # broke the 3-profile relations
+    ((0, 1, 2), 2),
+    ((1, 1, 2), 2),
+    ((2, 3, 4), 1),
+    ((1.5, 2.5), 2),
+    (np.array([[1, 2], [2, 1]]), 1),
+])
+def test_profile_refuses_non_permutations(tau, k):
+    with pytest.raises(PermError, match=r"not a permutation of 1\.\."):
+        profile(tau, k)
+
+
+def test_naive_oracle_counts_any_sequence():
+    assert profile_naive((5, 7, 9), 3) == profile((1, 2, 3), 3)

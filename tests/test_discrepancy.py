@@ -139,3 +139,12 @@ def test_prefix_bound_refuses_beyond_size_limit(monkeypatch):
     assert discrepancy(Perm((2, 4, 1, 5, 3)), mode="prefix_bound").mode == "prefix_bound"
     with pytest.raises(PermError, match="n <= 5"):
         discrepancy(Perm.identity(6), mode="prefix_bound")
+
+
+@pytest.mark.parametrize("mode", ["exact", "prefix_bound", "grid"])
+@pytest.mark.parametrize("tau", [(5, 7, 9), [0, 1, 2], (1, 1, 2), (2,)])
+def test_discrepancy_refuses_non_permutations(tau, mode):
+    # (5, 7, 9) failed a reshape in the exact and grid modes and read 1.0 in
+    # prefix_bound; [0, 1, 2] read 4/9
+    with pytest.raises(PermError, match=r"not a permutation of 1\.\."):
+        discrepancy(tau, mode=mode)

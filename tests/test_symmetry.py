@@ -16,8 +16,8 @@ from permutons import symmetry as symmetry_module
 from permutons.counting import all_patterns, pattern_index
 from permutons.measures import FLAT_TERMS, _flat_sums, _multiset_densities
 from permutons.perms import defect_witness
-from permutons.symmetry import _W3, _admitted_occ12, _is_orbit_representative, \
-    _low_profiles, _order_admissible, _order_conditions, _perm_chunks, _score_hits
+from permutons.symmetry import _W3, _admitted_occ12, _end_filter, _low_profiles, \
+    _order_conditions, _perm_chunks, _score_hits
 
 from conftest import BALANCED_9, FIXTURES
 
@@ -194,11 +194,33 @@ def test_search_k3_small_orders_empty(n):
     assert search_inflatable(n, 3) == []
 
 
-def test_search_prune_consistency():
-    # order 7 returns at the order gate; order 8 enumerates S_8 both ways
+def _every_occ12(n):
+    """The all-true admission mask: _perm_chunks then yields all of S_n."""
+    return np.ones(math.comb(n, 2) + 1, dtype=bool)
+
+
+def _unfiltered_search(n):
+    """Oracle for search_inflatable(n, 3): every admitted row of S_n scored,
+    no end filter and no orbit expansion.  The score is read from the module
+    so that a monkeypatched stand-in reaches it."""
+    hits = []
+    for block in _perm_chunks(n, _admitted_occ12(n)):
+        hits.extend(map(tuple, block[symmetry_module._score_hits(block)].tolist()))
+    return [Perm(h) for h in sorted(hits)]
+
+
+def test_search_matches_the_unfiltered_scan():
+    # order 7 admits no occ(12); order 8 scans its admitted rows both ways
     for n in (7, 8):
-        assert search_inflatable(n, 3, prune=False) == search_inflatable(n, 3)
-        assert search_inflatable(n, 4, prune=False) == search_inflatable(n, 4)
+        assert search_inflatable(n, 3) == _unfiltered_search(n)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_every_reverse_complement_orbit_meets_the_end_filter(n):
+    # each row of S_n has one of its four reverse/complement images scored
+    sn = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    images = (sn, sn[:, ::-1], n + 1 - sn, n + 1 - sn[:, ::-1])
+    assert np.logical_or.reduce([_end_filter(v) for v in images]).all()
 
 
 def _occ_by_subsets(rows, r):
@@ -246,34 +268,34 @@ def test_order_conditions_match_a_direct_search_per_pattern(n):
 
 
 def test_order_gate_follows_the_congruences():
-    assert [n for n in range(2, 26) if _order_admissible(n)] == [8, 9, 17]
+    assert [n for n in range(2, 26) if _admitted_occ12(n).any()] == [8, 9, 17]
     for n in range(2, 201):
-        assert _order_admissible(n) == (n % 8 in (0, 1) and n % 9 in (0, 1, 8)), n
+        assert _admitted_occ12(n).any() == (n % 8 in (0, 1) and n % 9 in (0, 1, 8)), n
 
 
 def test_ruled_out_orders_skip_enumeration(monkeypatch):
-    def refuse(n):
+    def refuse(n, admitted):
         raise AssertionError(f"S_{n} enumerated")
 
     monkeypatch.setattr(symmetry_module, "_perm_chunks", refuse)
     for n, k in itertools.product((*range(2, 8), 10), (3, 4)):
         assert search_inflatable(n, k) == []
-        assert search_inflatable(n, k, prune=False) == []
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_ruled_out_small_orders_have_no_score_hit(n):
     rows = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-    assert not _order_admissible(n)
+    assert not _admitted_occ12(n).any()
     assert not _score_hits(rows).any()
 
 
 def test_order_10_has_no_score_hit():
     # the exhaustive oracle behind the gate's verdict on order 10: one pass
-    # over the orbit representatives of S_10, the rows a pruned search scores
-    assert not _order_admissible(10)
-    for block in _perm_chunks(10):
-        assert not _score_hits(block[_is_orbit_representative(block)]).any()
+    # over the rows of S_10 that pass the end filter, one per
+    # reverse/complement orbit at least
+    assert not _admitted_occ12(10).any()
+    for block in _perm_chunks(10, _every_occ12(10)):
+        assert not _score_hits(block[_end_filter(block)]).any()
 
 
 def test_search_threads_consistency():
@@ -282,7 +304,7 @@ def test_search_threads_consistency():
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_perm_chunks_enumerate_sn_in_lexicographic_order(n):
-    rows = np.concatenate(list(_perm_chunks(n)))
+    rows = np.concatenate(list(_perm_chunks(n, _every_occ12(n))))
     expected = np.array(list(itertools.permutations(range(1, n + 1))))
     assert np.array_equal(rows, expected)
 
@@ -329,7 +351,7 @@ def test_admission_keeps_every_row_of_a_positive_control(monkeypatch):
     assert len(expected) == 240
     monkeypatch.setattr(symmetry_module, "_score_hits", _control_hits)
     assert search_inflatable(9, 3) == expected
-    assert search_inflatable(9, 3, prune=False) == expected
+    assert _unfiltered_search(9) == expected
 
 
 def test_search_memory_stays_bounded():
@@ -344,8 +366,8 @@ def test_search_memory_stays_bounded():
 
 
 def test_admitted_search_peak_stays_small():
-    # a quarter of each 8!-row block is generated, and the orbit test and the
-    # score see only that quarter
+    # a quarter of each 8!-row block is generated, and the end filter and
+    # the score see only that quarter
     tracemalloc.start()
     try:
         assert search_inflatable(9, 3) == []
