@@ -35,6 +35,7 @@ FLAT2 = str(FIXTURES / "flat2.permuton")
 WINDOW = str(FIXTURES / "window_half.permuton")
 PERM40 = str(FIXTURES / "perm40.permuton")
 AVG12 = str(FIXTURES / "avg12.permuton")
+NU_BLEND = str(FIXTURES / "nu_blend.permuton")
 MC = ("--mode", "mc", "--samples", "20000")
 
 CASES = {
@@ -53,6 +54,7 @@ CASES = {
     "symmetry-window-3-mc": ("symmetry", WINDOW, "3", *MC),
     "symmetry-window-4-mc": ("symmetry", WINDOW, "4", *MC),
     "symmetry-window-5-mc": ("symmetry", WINDOW, "5", *MC),
+    "symmetry-window-6-mc": ("symmetry", WINDOW, "6", *MC),
     "sample-window-5": ("sample", WINDOW, "5", "20", "--seed", "7"),
     "inflatable-balanced9-3": ("inflatable", "4 3 8 9 5 1 2 7 6", "3"),
     "search-inflatable-6-3": ("search-inflatable", "6", "3"),
@@ -69,6 +71,8 @@ CASES = {
     "identity-avg12": ("identity", AVG12),
     "permuton-density-exact": ("permuton-density", "2 1 3", BALANCED9),
     "permuton-density-mc": ("permuton-density", "2 1 3", WINDOW, *MC),
+    "permuton-density-mc-perm40-4": ("permuton-density", "2 4 1 3", PERM40, *MC),
+    "permuton-density-mc-nu-blend-4": ("permuton-density", "2 4 1 3", NU_BLEND, *MC),
     "find-b": ("find-b",),
     "find-nu": ("find-nu",),
 }
@@ -120,6 +124,10 @@ GOLDEN = {
         "0702b4bb4f22a8e4fc26d11ffda9bc755ef93f5ec8a4bf8f4ddf7433b3edfb5d",
     "permuton-density-mc":
         "ba2d0b3e41e9e07a09cc91839fc0d0b1dc7a3b833f0b44e95c5222c05d44655c",
+    "permuton-density-mc-nu-blend-4":
+        "164ce1db03847bc284ed2b7e692e041ab85c2c42585af92d5b4beb7d3fda6306",
+    "permuton-density-mc-perm40-4":
+        "5a59cbf5e49873ed71e53dd957188962a28cfc67b9b365bee3d08fe7c10d30a9",
     "sample-window-5":
         "2a2fc74d5a853c3adf59c5456b9665868133f35c0d062b295d10f536d176ff87",
     "search-inflatable-6-3":
@@ -140,6 +148,8 @@ GOLDEN = {
         "4e0aca86e83a61baababd1ea2ef0f40f342d7ac9b073ff3e6388d2f5b58c5723",
     "symmetry-window-5-mc":
         "cf3846febbf31b82737ecb211768d242b9095ccc644802150ee30d97bedfe4d5",
+    "symmetry-window-6-mc":
+        "1dc64bd6ac95dd1cc9184a245f7bad6f1beac1ca2203a3ff50b889a2cc13afbe",
 }
 
 
