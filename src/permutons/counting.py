@@ -6,7 +6,8 @@ k = 4 in O(n^2) via one sweep over middle pairs, taken in blocks of
 consecutive middle positions as 2-D tables, with two splits read off the
 3-profile.  k = 5, 6 fall back to chunked subset enumeration (|tau| <= 60),
 tallied by ``np.bincount`` of ``pattern_index``, the row-to-pattern index
-shared with the Monte Carlo histogram.
+built from pairwise column comparisons (the Monte Carlo histogram reads
+the same index straight from its draws, ``measures._draw_patterns``).
 ``three_counts`` is the k = 3 formula over the last axis of a batch, shared
 with the S_n search and the k = 4 engine.
 ``profile_naive`` is the independent oracle used by the test suite; the fast
@@ -89,14 +90,18 @@ def pattern_index(rows: np.ndarray) -> np.ndarray:
     """Position of each row's pattern in all_patterns(k), k = rows.shape[1].
 
     The Lehmer code read in factorial base: digit i counts the later entries
-    of the row below entry i.  The rows hold distinct values of any ordered
-    dtype, so no ranks are needed.  Exact while k! fits in int64 (k <= 20).
+    of the row below entry i, added up one column comparison at a time over
+    a contiguous copy of the columns, so nothing is sorted or summed along
+    the k-wide axis.  The rows hold distinct values of any ordered dtype, so
+    no ranks are needed.  Exact while k! fits in int64 (k <= 20).
     """
     k = rows.shape[1]
+    cols = np.ascontiguousarray(rows.T)
     idx = np.zeros(len(rows), dtype=np.int64)
     for i in range(k - 1):
         idx *= k - i
-        idx += (rows[:, i + 1:] < rows[:, i:i + 1]).sum(axis=1)
+        for j in range(i + 1, k):
+            idx += cols[j] < cols[i]
     return idx
 
 

@@ -12,7 +12,10 @@ Three concrete representations:
 * :class:`MixturePermuton` -- convex combination of permutons.
 
 Coordinates and masses are Fractions internally so that cdf, moments and
-strip masses are exact; sampling and ``cdf_float`` work in floats.
+strip masses are exact; sampling and ``cdf_float`` work in floats.  The
+Monte Carlo pattern tallies read each k-point draw's pattern index from the
+pairwise comparisons of its coordinates (``_draw_patterns``), with no sort;
+only ``sample_patterns`` and ``density_mc`` past ``MC_MAX_K`` sort rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, combinations_with_replacement, permutations
+from itertools import (
+    accumulate, chain, combinations, combinations_with_replacement, permutations,
+)
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,13 +65,15 @@ def _check_unit(a: Fraction, name: str) -> Fraction:
 def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """(start, padded cum, passes) of the guide table of :func:`_pick_cells`.
 
-    With G the least power of two >= len(cum), start[g] counts the entries
+    With G the least power of two >= 4 len(cum), start[g] counts the entries
     of ``cum`` at most g/G, so a draw in [g/G, (g+1)/G) has its index in
     start[g] .. start[g] + gap, gap the most entries in one bucket; ``passes``
     = gap.bit_length() bisection steps close that window, and the padding of
-    2^passes infinities keeps every probe inside the array.
+    2^passes infinities keeps every probe inside the array.  A bucket holds
+    at most one entry when every mass exceeds 1/G, so masses of a quarter of
+    the mean or more take one pass (m_set(b): 0.06 against 1/32).
     """
-    size = 1 << (len(cum) - 1).bit_length()
+    size = 1 << (4 * len(cum) - 1).bit_length()
     start = np.searchsorted(cum, np.arange(size + 1) / size, side="right")
     passes = int(np.diff(start).max()).bit_length()
     return start[:-1], np.concatenate((cum, np.full(1 << passes, np.inf))), passes
@@ -79,8 +86,9 @@ def _pick_cells(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     A guide table (Chen & Asau) gives each draw's bucket g = floor(u G)
     exactly, G being a power of two, and a branchless bisection finishes
     within the bucket in at most ceil(log2(len(cum) + 1)) passes; equal
-    masses need one.  O(len(cum) + len(u)) time, and the same indices as the
-    binary search, so seeded draws are unchanged.
+    masses and the segments of m_set(b) need one.  O(len(cum) + len(u))
+    time, and the same indices as the binary search, so seeded draws are
+    unchanged.
     """
     start, cpad, passes = _guide_table(cum)
     p = start[(u * len(start)).astype(np.intp)]
@@ -558,37 +566,93 @@ def sample_patterns(mu: Permuton, k: int, count: int,
     return counting.row_ranks(_sample_rows(mu, k, count, rng))
 
 
-def _sample_rows(mu: Permuton, k: int, count: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """count x k array of the y-values of iid k-point draws, each row
-    ordered by x.
+def _redraw_ties(mu: Permuton, k: int, count: int, rng: np.random.Generator,
+                 read) -> np.ndarray:
+    """read(x, y) of ``count`` rows of iid k-point draws, x and y being the
+    m x k coordinates in draw order and ``read`` returning (values, tied).
 
     Rows with coordinate ties (possible in floats, probability zero in the
-    measure) are resampled as whole rows, at most 100 rounds.
+    measure) are redrawn as whole rows, at most 100 rounds in all.
     """
     if k < 1:
         raise PermutonError("k must be >= 1")
-    out = np.empty((count, k))
-    todo = np.arange(count)
-    for _ in range(100):
-        m = len(todo)
+
+    def draw(m: int):
         x, y = mu.sample_xy(rng, m * k)
-        x = x.reshape(m, k)
-        y = y.reshape(m, k)
-        order = np.argsort(x, axis=1)
-        xs = np.take_along_axis(x, order, axis=1)
-        ys = np.take_along_axis(y, order, axis=1)
-        ysort = np.sort(y, axis=1)
-        tied = (np.any(xs[:, 1:] == xs[:, :-1], axis=1)
-                | np.any(ysort[:, 1:] == ysort[:, :-1], axis=1)) if k > 1 else \
-            np.zeros(m, dtype=bool)
-        good = ~tied
-        out[todo[good]] = ys[good]
-        todo = todo[tied]
+        return read(x.reshape(m, k), y.reshape(m, k))
+
+    out, tied = draw(count)
+    todo = np.flatnonzero(tied)
+    for _ in range(99):
         if len(todo) == 0:
-            return out
-    raise PermutonError(
-        "degenerate permuton: coordinate ties persisted over 100 resampling rounds")
+            break
+        values, tied = draw(len(todo))
+        out[todo[~tied]] = values[~tied]
+        todo = todo[tied]
+    if len(todo):
+        raise PermutonError(
+            "degenerate permuton: coordinate ties persisted over 100 resampling rounds")
+    return out
+
+
+def _sorted_rows(x: np.ndarray, y: np.ndarray):
+    """(y-values of each row ordered by x, tied), tied meaning two equal x
+    or two equal y in the row."""
+    order = np.argsort(x, axis=1)
+    xs = np.take_along_axis(x, order, axis=1)
+    ys = np.take_along_axis(y, order, axis=1)
+    ysort = np.sort(y, axis=1)
+    tied = (np.any(xs[:, 1:] == xs[:, :-1], axis=1)
+            | np.any(ysort[:, 1:] == ysort[:, :-1], axis=1))
+    return ys, tied
+
+
+def _pattern_rows(x: np.ndarray, y: np.ndarray):
+    """(pattern index in ``counting.all_patterns(k)``, tied) of each row,
+    from the C(k, 2) comparisons of its columns in draw order.
+
+    With r_i = #{j : x_j < x_i} the x-rank of point i and
+    d_i = #{j : x_j > x_i, y_j < y_i} its Lehmer digit, the index is
+    sum_i (k - 1 - r_i)! d_i, as ``counting.pattern_index`` of the rows
+    sorted by x.  A pair is tied when neither of its two strict comparisons
+    holds on an axis.  Each comparison runs over a contiguous column, so
+    nothing is sorted or reduced along the k-wide axis.
+    """
+    m, k = x.shape
+    xc = np.ascontiguousarray(x.T)
+    yc = np.ascontiguousarray(y.T)
+    rank = np.zeros((k, m), dtype=np.uint8)
+    digit = np.zeros((k, m), dtype=np.uint8)
+    tied = np.zeros(m, dtype=bool)
+    for i, j in combinations(range(k), 2):
+        xi, xj = xc[i] < xc[j], xc[j] < xc[i]  # which point lies left
+        yi, yj = yc[i] < yc[j], yc[j] < yc[i]  # which point lies below
+        rank[j] += xi
+        rank[i] += xj
+        digit[i] += xi & yj
+        digit[j] += xj & yi
+        tied |= xi == xj
+        tied |= yi == yj
+    weight = np.array([math.factorial(k - 1 - r) for r in range(k)], dtype=np.int64)
+    idx = np.zeros(m, dtype=np.int64)
+    for i in range(k):
+        idx += weight[rank[i]] * digit[i]
+    return idx, tied
+
+
+def _sample_rows(mu: Permuton, k: int, count: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """count x k array of the y-values of iid k-point draws, each row
+    ordered by x; for draws of any k (``sample_patterns`` takes k = 10^5)."""
+    return _redraw_ties(mu, k, count, rng, _sorted_rows)
+
+
+def _draw_patterns(mu: Permuton, k: int, count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Pattern indices of ``count`` iid k-point draws, k <= MC_MAX_K: the
+    same rows as ``counting.pattern_index(_sample_rows(...))`` on the same
+    stream, without a sort."""
+    return _redraw_ties(mu, k, count, rng, _pattern_rows)
 
 
 def density_mc(pi, mu: Permuton, samples: int, seed: int) -> tuple[float, float]:
@@ -596,8 +660,12 @@ def density_mc(pi, mu: Permuton, samples: int, seed: int) -> tuple[float, float]
     if not isinstance(pi, Perm):
         pi = Perm(tuple(pi))
     k = len(pi)
-    # a row shows pi exactly when it sorts in pi's order: one argsort, and no
-    # pattern index, which would overflow int64 past k = 20
+    if k <= MC_MAX_K:
+        want = counting.pattern_index(np.array([pi.images]))[0]
+        return mc_hits(lambda rng, m: _draw_patterns(mu, k, m, rng) == want,
+                       samples, seed)
+    # past MC_MAX_K a row shows pi exactly when it sorts in pi's order: one
+    # argsort, and no pattern index, which would overflow int64 past k = 20
     order = np.argsort(pi.images)
     return mc_hits(
         lambda rng, m: np.all(np.argsort(_sample_rows(mu, k, m, rng), axis=1) == order,
@@ -608,13 +676,13 @@ def density_mc(pi, mu: Permuton, samples: int, seed: int) -> tuple[float, float]
 def pattern_histogram_mc(mu: Permuton, k: int, samples: int,
                          seed: int) -> dict[tuple[int, ...], int]:
     """Counts of each length-k pattern, 1 <= k <= MC_MAX_K = 6, over
-    ``samples`` draws, keyed in ``counting.all_patterns(k)`` order."""
+    ``samples`` draws, keyed in ``counting.all_patterns(k)`` order; each
+    draw's pattern is read from pairwise comparisons, with no sort."""
     if not 1 <= k <= MC_MAX_K:
         raise PermutonError(f"pattern histograms support 1 <= k <= {MC_MAX_K}")
     counts = np.zeros(math.factorial(k), dtype=np.int64)
     for rng, m in mc_chunks(samples, seed):
-        counts += np.bincount(counting.pattern_index(_sample_rows(mu, k, m, rng)),
-                              minlength=len(counts))
+        counts += np.bincount(_draw_patterns(mu, k, m, rng), minlength=len(counts))
     return dict(zip(counting.all_patterns(k), counts.tolist()))
 
 

@@ -165,6 +165,46 @@ def test_pattern_index_is_the_position_in_all_patterns(k):
     assert np.array_equal(pattern_index(np.sqrt(pats) / 7.0), want)
 
 
+def _brute_index(rows) -> np.ndarray:
+    k = rows.shape[1]
+    where = {p: i for i, p in enumerate(all_patterns(k))}
+    return np.array([where[pattern_of(list(r))] for r in rows.tolist()])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_pattern_index_reads_strided_views(k):
+    pats = np.array(all_patterns(k), dtype=np.int64)
+    for view in (pats[:, ::-1], pats[::-1], pats[::3, ::2], np.asfortranarray(pats)):
+        assert np.array_equal(pattern_index(view), _brute_index(view))
+    wide = np.array(all_patterns(6), dtype=np.int64)
+    for lo in range(7 - k):
+        view = wide[:, lo:lo + k]  # column slices: repeated patterns, not contiguous
+        assert np.array_equal(pattern_index(view), _brute_index(view))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_pattern_index_takes_float32(k):
+    pats = np.array(all_patterns(k), dtype=np.float32)
+    assert np.array_equal(pattern_index(pats), np.arange(math.factorial(k)))
+    assert np.array_equal(pattern_index(pats[:, ::-1] / 3), _brute_index(pats[:, ::-1]))
+
+
+def test_pattern_index_fits_int64_at_k_20():
+    assert math.factorial(20) < 2**63 <= math.factorial(21)
+    rng = np.random.default_rng(20)
+    rows = np.vstack([np.arange(20), np.arange(20)[::-1],
+                      *(rng.permutation(20) for _ in range(50))])
+
+    def lehmer(row):
+        return sum(sum(v < row[i] for v in row[i + 1:]) * math.factorial(19 - i)
+                   for i, v in enumerate(row))
+
+    got = pattern_index(rows)
+    assert got[0] == 0 and got[1] == math.factorial(20) - 1
+    assert got.tolist() == [lehmer(r) for r in rows.tolist()]
+    assert pattern_index(rows[:, ::-1]).tolist() == [lehmer(r[::-1]) for r in rows.tolist()]
+
+
 def test_occurrences_matches_naive():
     rng = np.random.default_rng(11)
     for _ in range(30):

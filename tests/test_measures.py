@@ -15,7 +15,11 @@ from permutons import (
     m_set, marginal_check, moment, pattern_histogram_mc, sample_patterns,
     sample_perm, segments_from_endpoints, uniform,
 )
-from permutons.measures import _guide_table, _multiset_densities, _pick_cells, cdf_many
+from permutons.counting import pattern_index, row_ranks
+from permutons.measures import (
+    _guide_table, _multiset_densities, _pick_cells, _sample_rows, cdf_many,
+)
+from permutons.perms import mc_chunks
 
 from conftest import random_perm
 
@@ -440,6 +444,63 @@ def test_tie_resampling_keeps_its_seeded_streams():
     # raw events see tied y-values in argsort's order, as the ranks did
     assert event_prob_mc(_HORIZONTAL, (1, 2), (1, 2), 1000, 1)[0] == 0.478
     assert event_prob_mc(_HORIZONTAL, (2, 1), (2, 1), 1000, 1)[0] == 0.0
+
+
+def test_pick_cells_needs_one_pass_on_m_set():
+    mu = m_set(F(3083, 6400))
+    cum = np.cumsum([float(s.mass) for s in mu.segments])
+    start, _, passes = _guide_table(cum)
+    assert (len(cum), len(start), passes) == (8, 32, 1)
+
+
+def test_pick_cells_is_the_binary_search_at_its_own_bucket_edges():
+    for cum in _adversarial_cums():
+        size = len(_guide_table(cum)[0])
+        edges = np.r_[np.arange(size) / size, cum]
+        u = np.r_[edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        u = u[(u >= 0) & (u < 1)]
+        want = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        assert np.array_equal(_pick_cells(cum, u), want), cum[:5]
+
+
+_ORACLE_MUS = {
+    "uniform": uniform(),
+    "grid400": from_perm(random_perm(np.random.default_rng(400), 400)),
+    "m_set": m_set(F(3083, 6400)),
+    "m_set0": m_set(0),
+    "m_set01": MixturePermuton((m_set(0), m_set(1)), (F(1, 2), F(1, 2))),
+    "horizontal": MixturePermuton((_HORIZONTAL, uniform()), (F(1, 2), F(1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MUS))
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("seed", [3, 11])
+def test_sort_free_estimators_match_the_sorted_rows(name, k, seed):
+    mu = _ORACLE_MUS[name]
+    # the x-sorted rows of each chunk, on the estimators' own stream
+    chunks = [_sample_rows(mu, k, m, rng) for rng, m in mc_chunks(1_500, seed)]
+    want = sum(np.bincount(pattern_index(rows), minlength=math.factorial(k))
+               for rows in chunks)
+    hist = pattern_histogram_mc(mu, k, 1_500, seed)
+    assert list(hist.values()) == want.tolist()
+    # the first row's pattern, so every run has a hit
+    pi = tuple(int(v) for v in row_ranks(chunks[0][:1])[0])
+    order = np.argsort(pi)
+    hits = sum(int(np.all(np.argsort(rows, axis=1) == order, axis=1).sum())
+               for rows in chunks)
+    assert density_mc(pi, mu, 1_500, seed)[0] == hits / 1_500
+
+
+def test_sort_free_estimators_sort_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted along the k-wide axis")
+
+    for name in ("argsort", "sort", "take_along_axis"):
+        monkeypatch.setattr(np, name, refuse)
+    for mu in _ORACLE_MUS.values():
+        assert sum(pattern_histogram_mc(mu, 4, 500, 1).values()) == 500
+        assert 0 < density_mc((2, 1, 3), mu, 500, 1)[0] < 1
 
 
 def test_density_mc_takes_long_patterns():
