@@ -36,6 +36,7 @@ WINDOW = str(FIXTURES / "window_half.permuton")
 PERM40 = str(FIXTURES / "perm40.permuton")
 AVG12 = str(FIXTURES / "avg12.permuton")
 NU_BLEND = str(FIXTURES / "nu_blend.permuton")
+TENT = str(FIXTURES / "tent.permuton")
 MC = ("--mode", "mc", "--samples", "20000")
 
 CASES = {
@@ -75,9 +76,21 @@ CASES = {
     "permuton-density-mc-nu-blend-4": ("permuton-density", "2 4 1 3", NU_BLEND, *MC),
     "find-b": ("find-b",),
     "find-nu": ("find-nu",),
+    "check-marginals-window": ("check-marginals", WINDOW),
+    "check-marginals-nu-blend": ("check-marginals", NU_BLEND),
+    "check-marginals-avg12": ("check-marginals", AVG12),
+    "check-marginals-tent-7": ("check-marginals", TENT, "--resolution", "7"),
 }
 
 GOLDEN = {
+    "check-marginals-avg12":
+        "e16c095f0bc8fc308c01ed844c7b4ed3dd70ed0e760186b57e5736c4bad7a921",
+    "check-marginals-nu-blend":
+        "e16c095f0bc8fc308c01ed844c7b4ed3dd70ed0e760186b57e5736c4bad7a921",
+    "check-marginals-tent-7":
+        "461a5119d37af50851055b3c84a37cb4be4e092b44f00f5ee33966b18de64cd6",
+    "check-marginals-window":
+        "e16c095f0bc8fc308c01ed844c7b4ed3dd70ed0e760186b57e5736c4bad7a921",
     "chain-avg12":
         "4d95211839d57625fdc42833c1ff641220b5fa6ab1ebc6eb5970b830c548f7ed",
     "chain-balanced9":
@@ -167,3 +180,19 @@ def test_oversized_exact_density_is_refused_without_output(tmp_path, capsys):
     assert main(["density", "1 2 3 4 5", tau, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_failing_check_marginals_prints_its_worst_strip(tmp_path, capsys):
+    # the y marginal of this segment has density 2 on [0, 1/2]: every one of
+    # the first 50 y-strips deviates by 1/101, and the first one is reported
+    bad = tmp_path / "bad.permuton"
+    bad.write_text("type segments\nsegment 0 0 1 0.5\n")
+    assert main(["check-marginals", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "resolution = 101",
+        "max_deviation = 0.00990099009901",
+        "worst_strip = y[0]",
+        "pass = False",
+    ]
+    assert captured.err == ""
