@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import (
-    accumulate, chain, combinations, combinations_with_replacement, permutations,
+    chain, combinations, combinations_with_replacement, permutations,
 )
 from typing import Mapping, Sequence
 
@@ -39,6 +39,7 @@ _ONE = Fraction(1)
 _CDF_BLOCK = 1 << 18  # entries of the grid CDF table held at once
 GRID_EXACT_MAX_K = 4  # longest pattern with exact grid densities
 MC_MAX_K = 6  # longest pattern of the Monte Carlo histograms (k! bins)
+MARGINAL_MAX_RESOLUTION = 100_000  # strips per axis of marginal_check, ~1 s
 GRID_MULTISET_MAX = 100_000  # most cell multisets in one exact grid pass
 
 
@@ -106,7 +107,33 @@ class Permuton:
         raise NotImplementedError
 
     def strip_masses(self, resolution: int, axis: str) -> list[Fraction]:
-        """Exact masses of the ``resolution`` equal strips along an axis."""
+        """Exact masses of the ``resolution`` equal strips along an axis,
+        from one sweep over the sorted ``_pieces``: a strip that holds no
+        piece position weighs slope / r, so a call costs O(pieces log pieces
+        + r) Fraction operations."""
+        r = resolution
+        pieces = sorted(self._pieces(axis))
+        # value is the mass up to the position at and slope the density past
+        # it; piece i counts from cut k = first[i], the first k/r >= its position
+        first = [-(-p[0].numerator * r // p[0].denominator) for p in pieces]
+        out, at, value, slope, step, i = [], _ZERO, _ZERO, _ZERO, _ZERO, 0
+        for k in range(1, r + 1):
+            if i == len(pieces) or first[i] > k:
+                out.append(step)
+                continue
+            below = value + slope * (Fraction(k - 1, r) - at)
+            while i < len(pieces) and first[i] <= k:
+                pos, rate, jump = pieces[i]
+                value += slope * (pos - at) + jump
+                at, slope, i = pos, slope + rate, i + 1
+            out.append(value + slope * (Fraction(k, r) - at) - below)
+            step = slope / r
+        return out
+
+    def _pieces(self, axis: str) -> list[tuple[Fraction, Fraction, Fraction]]:
+        """The marginal on an axis as (position, slope change, jump) triples:
+        the mass up to a cut c is the sum of jump + slope change * (c -
+        position) over the triples at positions <= c."""
         raise NotImplementedError
 
     def moment(self, p: int, q: int) -> Fraction:
@@ -147,23 +174,14 @@ class GridPermuton(Permuton):
         n = self.n
         if n < 1:
             raise PermutonError("grid size must be >= 1")
-        rows = [Fraction(0)] * (n + 1)
-        cols = [Fraction(0)] * (n + 1)
-        for (i, j), m in self.cells.items():
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise PermutonError(f"cell {(i, j)} outside 1..{n}")
-            if m < 0:
-                raise PermutonError(f"negative mass at cell {(i, j)}")
-            rows[i] += m
-            cols[j] += m
-        share = Fraction(1, n)
+        D, rows, cols = self._lanes()
         for idx in range(1, n + 1):
-            if rows[idx] != share:
-                raise PermutonError(
-                    f"row {idx} mass {rows[idx]} != 1/{n} (non-uniform marginal)")
-            if cols[idx] != share:
-                raise PermutonError(
-                    f"column {idx} mass {cols[idx]} != 1/{n} (non-uniform marginal)")
+            if rows[idx] * n != D:
+                raise PermutonError(f"row {idx} mass {Fraction(rows[idx], D)} "
+                                    f"!= 1/{n} (non-uniform marginal)")
+            if cols[idx] * n != D:
+                raise PermutonError(f"column {idx} mass {Fraction(cols[idx], D)} "
+                                    f"!= 1/{n} (non-uniform marginal)")
 
     # ---- exact integration -------------------------------------------
 
@@ -182,26 +200,30 @@ class GridPermuton(Permuton):
             total += m * cx * cy
         return total
 
-    def strip_masses(self, resolution: int, axis: str) -> list[Fraction]:
+    def _lanes(self) -> tuple[int, list[int], list[int]]:
+        """(D, rows, cols): D the lcm of the cell-mass denominators, rows[i]
+        and cols[i] D times the mass of row and column i, zero at 0 and n + 1."""
         n = self.n
-        lane = np.zeros(n + 1, dtype=object)
-        lane[:] = Fraction(0)
-        key = 0 if axis == "x" else 1
-        for cell, m in self.cells.items():
-            lane[cell[key]] += m
-        cum = list(accumulate(lane[1:], initial=Fraction(0)))
-        out = []
-        prev = Fraction(0)
-        # prefix mass up to cut c: full lanes below + partial lane share
-        def prefix(c: Fraction) -> Fraction:
-            w = n * c
-            full = int(w)  # lanes 1..full fully inside
-            return cum[n] if full >= n else cum[full] + lane[full + 1] * (w - full)
-        for s_idx in range(1, resolution + 1):
-            cur = prefix(Fraction(s_idx, resolution))
-            out.append(cur - prev)
-            prev = cur
-        return out
+        D = math.lcm(*(m.denominator for m in self.cells.values()))
+        rows, cols = [0] * (n + 2), [0] * (n + 2)
+        for (i, j), m in self.cells.items():
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise PermutonError(f"cell {(i, j)} outside 1..{n}")
+            if m < 0:
+                raise PermutonError(f"negative mass at cell {(i, j)}")
+            scaled = m.numerator * (D // m.denominator)
+            rows[i] += scaled
+            cols[j] += scaled
+        return D, rows, cols
+
+    def _pieces(self, axis: str) -> list[tuple[Fraction, Fraction, Fraction]]:
+        # lane i spreads D^-1 lane[i] over [(i-1)/n, i/n]; the slope changes
+        # by n (lane[j+1] - lane[j]) / D at j/n
+        n = self.n
+        D, rows, cols = self._lanes()
+        lane = rows if axis == "x" else cols
+        return [(Fraction(j, n), Fraction(n * (lane[j + 1] - lane[j]), D), _ZERO)
+                for j in range(n + 1) if lane[j + 1] != lane[j]]
 
     def moment(self, p: int, q: int) -> Fraction:
         # mass m_ij has density m_ij n^2 on its cell, where x^p integrates to
@@ -357,19 +379,17 @@ class SegmentPermuton(Permuton):
             total += s.mass * _t_fraction_inside(s, a, b)
         return total
 
-    def strip_masses(self, resolution: int, axis: str) -> list[Fraction]:
+    def _pieces(self, axis: str) -> list[tuple[Fraction, Fraction, Fraction]]:
+        # a segment's marginal is uniform between its two ends a and b, in
+        # either order, and a point mass when a = b
         out = []
-        prev = Fraction(0)
-        for s_idx in range(1, resolution + 1):
-            c = Fraction(s_idx, resolution)
-            cur = Fraction(0)
-            for s in self.segments:
-                if axis == "x":
-                    cur += s.mass * _t_fraction_inside(s, c, _ONE)
-                else:
-                    cur += s.mass * _t_fraction_inside(s, _ONE, c)
-            out.append(cur - prev)
-            prev = cur
+        for s in self.segments:
+            a, b = (s.x0, s.x1) if axis == "x" else (s.y0, s.y1)
+            if a == b:
+                out.append((a, _ZERO, s.mass))
+            else:
+                rate = s.mass / Fraction(b - a)  # exact for int ends too
+                out += [(a, rate, _ZERO), (b, -rate, _ZERO)]
         return out
 
     def moment(self, p: int, q: int) -> Fraction:
@@ -522,12 +542,10 @@ class MixturePermuton(Permuton):
         return sum((w * c.cdf(a, b) for c, w in zip(self.components, self.weights)),
                    Fraction(0))
 
-    def strip_masses(self, resolution: int, axis: str) -> list[Fraction]:
-        acc = [Fraction(0)] * resolution
-        for c, w in zip(self.components, self.weights):
-            for i, m in enumerate(c.strip_masses(resolution, axis)):
-                acc[i] += w * m
-        return acc
+    def _pieces(self, axis: str) -> list[tuple[Fraction, Fraction, Fraction]]:
+        return [(pos, w * rate, w * jump)
+                for c, w in zip(self.components, self.weights)
+                for pos, rate, jump in c._pieces(axis)]
 
     def moment(self, p: int, q: int) -> Fraction:
         return sum((w * c.moment(p, q) for c, w in zip(self.components, self.weights)),
@@ -875,9 +893,13 @@ class MarginalReport:
 
 
 def marginal_check(mu: Permuton, resolution: int, tol: float) -> MarginalReport:
-    """Exact strip masses vs strip widths on both axes."""
+    """Exact strip masses vs strip widths on both axes, r <=
+    MARGINAL_MAX_RESOLUTION; reports the first largest deviation, x first."""
     if resolution < 2:
         raise PermutonError("resolution must be >= 2")
+    if resolution > MARGINAL_MAX_RESOLUTION:
+        raise PermutonError(f"resolution {resolution} is over the limit "
+                            f"MARGINAL_MAX_RESOLUTION = {MARGINAL_MAX_RESOLUTION}")
     if not tol >= 0:  # NaN too
         raise PermutonError("tol must be >= 0")
     width = Fraction(1, resolution)

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from permutons import Perm, analysis
+from permutons import Perm, analysis, measures
 from permutons import symmetry as symmetry_mod
 from permutons.cli import main
 
@@ -172,6 +172,19 @@ def test_check_marginals_refuses_tol_below_zero(capsys, mset_file, tol):
     assert err == "error: tol must be >= 0\n"
     code, out, _ = run(capsys, "check-marginals", mset_file, "--tol=0")
     assert code == 0 and "pass = True" in out
+
+
+def test_check_marginals_refuses_resolution_past_the_limit(
+        capsys, monkeypatch, mset_file, tmp_path):
+    def refuse(*_):
+        raise AssertionError("strip masses computed before the resolution check")
+    monkeypatch.setattr(measures.Permuton, "strip_masses", refuse)
+    out = tmp_path / "out.txt"
+    code, text, err = run(capsys, "check-marginals", mset_file, "--resolution",
+                          "1000000000", "--out", str(out))
+    assert code == 1 and text == "" and not out.exists()
+    assert err == ("error: resolution 1000000000 is over the limit "
+                   "MARGINAL_MAX_RESOLUTION = 100000\n")
 
 
 def test_converge_csv(capsys, grid_file):

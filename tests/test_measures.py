@@ -17,11 +17,13 @@ from permutons import (
 )
 from permutons.counting import pattern_index, row_ranks
 from permutons.measures import (
-    _guide_table, _multiset_densities, _pick_cells, _sample_rows, cdf_many,
+    MARGINAL_MAX_RESOLUTION, MarginalReport, _guide_table, _multiset_densities,
+    _pick_cells, _sample_rows, _t_fraction_inside, cdf_many,
 )
 from permutons.perms import mc_chunks
+from permutons.permuton_io import parse_permuton
 
-from conftest import random_perm
+from conftest import FIXTURES, random_perm
 
 F = Fraction
 perms46 = st.integers(4, 6).flatmap(
@@ -40,6 +42,19 @@ def test_grid_rejects_bad_row_sums():
                          (2, 1): F(1, 2)})
     # the diagonal grid is a valid permuton
     GridPermuton(2, {(1, 1): F(1, 2), (2, 2): F(1, 2)})
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({(1, 1): F(1, 2), (2, 2): F(1, 4)}, "row 2 mass 1/4 != 1/2"),
+    ({(1, 1): F(1, 4), (1, 2): F(1, 4), (2, 1): F(1, 2)}, "column 1 mass 3/4 != 1/2"),
+    ({(1, 1): F(1, 2), (1, 2): F(1, 2)}, "row 1 mass 1 != 1/2"),
+    ({(1, 1): F(1, 6), (1, 2): F(1, 3), (2, 2): F(1, 10)}, "column 1 mass 1/6 != 1/2"),
+    ({(1, 1): F(1, 2)}, "row 2 mass 0 != 1/2"),
+])
+def test_grid_names_the_first_uneven_lane_with_its_exact_mass(cells, message):
+    with pytest.raises(PermutonError) as exc:
+        GridPermuton(2, cells)
+    assert str(exc.value) == f"{message} (non-uniform marginal)"
 
 
 def test_from_perm_cells():
@@ -113,6 +128,135 @@ def test_marginal_check_flags_bad_axis():
     rep = marginal_check(bad, 10, 1e-9)
     assert not rep.passed
     assert rep.axis == "y"
+
+
+def test_marginal_check_refuses_resolution_past_the_limit_before_any_strip_mass(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(SegmentPermuton, "strip_masses",
+                        lambda _mu, r, axis: calls.append((r, axis)) or [])
+    marginal_check(m_set(F(1, 2)), MARGINAL_MAX_RESOLUTION, 1e-9)
+    assert calls == [(MARGINAL_MAX_RESOLUTION, "x"), (MARGINAL_MAX_RESOLUTION, "y")]
+    for resolution in (MARGINAL_MAX_RESOLUTION + 1, 10 ** 9):
+        with pytest.raises(PermutonError,
+                           match="over the limit MARGINAL_MAX_RESOLUTION = 100000"):
+            marginal_check(m_set(F(1, 2)), resolution, 1e-9)
+    assert len(calls) == 2
+
+
+# strip masses against the per-cut oracle: the prefix mass at every cut,
+# summed piece by piece (the loop strip_masses ran before its sweep)
+
+
+def _oracle_prefix(mu, c: Fraction, axis: str) -> Fraction:
+    if isinstance(mu, MixturePermuton):
+        return sum((w * _oracle_prefix(part, c, axis)
+                    for part, w in zip(mu.components, mu.weights)), F(0))
+    if isinstance(mu, SegmentPermuton):
+        a, b = (c, F(1)) if axis == "x" else (F(1), c)
+        return sum((s.mass * _t_fraction_inside(s, a, b) for s in mu.segments), F(0))
+    key = 0 if axis == "x" else 1
+    return sum((m * min(max(mu.n * c - (cell[key] - 1), F(0)), F(1))
+                for cell, m in mu.cells.items()), F(0))
+
+
+def _oracle_strips(mu, resolution: int, axis: str) -> list[Fraction]:
+    # mass at 0 lies in the first strip
+    prefix = [F(0)] + [_oracle_prefix(mu, F(k, resolution), axis)
+                       for k in range(1, resolution + 1)]
+    return [b - a for a, b in zip(prefix, prefix[1:])]
+
+
+def _oracle_report(mu, resolution: int, tol: float) -> MarginalReport:
+    # the first strip of largest deviation, x before y
+    width, worst, where = F(1, resolution), F(0), ("x", 0)
+    for axis in ("x", "y"):
+        for idx, m in enumerate(_oracle_strips(mu, resolution, axis)):
+            if abs(m - width) > worst:
+                worst, where = abs(m - width), (axis, idx)
+    return MarginalReport(float(worst), *where, resolution, tol)
+
+
+def _assert_matches_oracle(mu, resolution: int, tol: float) -> None:
+    for axis in ("x", "y"):
+        got = mu.strip_masses(resolution, axis)
+        assert got == _oracle_strips(mu, resolution, axis), (resolution, axis)
+        assert all(type(m) is F for m in got)
+    assert marginal_check(mu, resolution, tol) == _oracle_report(mu, resolution, tol)
+
+
+_STRIP_CASES = {
+    **{f.name: parse_permuton(f.read_text()) for f in sorted(FIXTURES.glob("*.permuton"))},
+    "m_set(3083/6400)": m_set(F(3083, 6400)),
+    "m_set(1/3)": m_set(F(1, 3)),
+    "nu(1/2)": MixturePermuton((m_set(0), m_set(1)), (F(1, 2), F(1, 2))),
+    "segment 0 0 1 0.5": segments_from_endpoints([(0, 0, 1, F(1, 2))]),
+    "int ends and mass": SegmentPermuton((Segment(0, 1, 1, 0, 1),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRIP_CASES))
+def test_strip_masses_match_the_per_cut_oracle_on_fixtures(name):
+    for resolution in (2, 3, 7, 64, 101):
+        _assert_matches_oracle(_STRIP_CASES[name], resolution, 1e-9)
+
+
+# coordinates on the cuts of every tested resolution, and off them
+_coords = st.one_of(st.integers(0, 12).map(lambda v: F(v, 12)),
+                    st.integers(0, 7).map(lambda v: F(v, 7)),
+                    st.fractions(0, 1, max_denominator=40))
+
+
+@st.composite
+def _segment_permutons(draw):
+    ends, weights = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        x0, y0, x1, y1 = (draw(_coords) for _ in range(4))
+        kind = draw(st.sampled_from(("free", "vertical", "horizontal", "point")))
+        if kind in ("vertical", "point"):
+            x1 = x0
+        if kind in ("horizontal", "point"):
+            y1 = y0
+        ends.append((x0, y0, x1, y1))
+        weights.append(draw(st.integers(1, 6)))
+    return SegmentPermuton(tuple(Segment(*e, F(w, sum(weights)))
+                                 for e, w in zip(ends, weights)))
+
+
+@st.composite
+def _grids(draw):
+    # a mix of permutation grids with weights of unlike denominators; with
+    # skew, mass moves between rows and columns after construction, so the
+    # lanes differ and the strips must follow the cells as they are
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.fractions(F(1, 9), 3, max_denominator=9),
+                            min_size=1, max_size=3))
+    cells: dict = {}
+    for w in weights:
+        tau = draw(st.permutations(range(1, n + 1)))
+        for i, v in enumerate(tau, start=1):
+            cells[(i, v)] = cells.get((i, v), F(0)) + w / (sum(weights) * n)
+    mu = GridPermuton(n, cells)
+    if n > 1 and draw(st.booleans()):
+        cell = draw(st.sampled_from(sorted(cells)))
+        moved = cells[cell] * draw(st.fractions(F(1, 5), 1, max_denominator=5))
+        cells[cell] -= moved
+        target = (cell[0] % n + 1, draw(st.integers(1, n)))
+        cells[target] = cells.get(target, F(0)) + moved
+    return mu
+
+
+def _mixtures(parts):
+    return st.lists(st.tuples(parts, st.integers(0, 4)), min_size=1, max_size=3).filter(
+        lambda pw: any(w for _, w in pw)).map(lambda pw: MixturePermuton(
+            tuple(p for p, _ in pw), tuple(F(w, sum(w for _, w in pw)) for _, w in pw)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_segment_permutons() | _grids(), _mixtures, max_leaves=5),
+       st.sampled_from((2, 3, 4, 6, 7, 12, 13)), st.sampled_from((0.0, 1e-9, 0.05)))
+def test_strip_masses_match_the_per_cut_oracle(mu, resolution, tol):
+    _assert_matches_oracle(mu, resolution, tol)
 
 
 # ---------------------------------------------------------------------------
