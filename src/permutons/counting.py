@@ -2,6 +2,9 @@
 
 ``profile(tau, k)`` returns occurrence counts of every length-k pattern:
 k <= 2 and k = 3 run in O(n log n) from per-position quadrant statistics,
+whose core is the dominance count ``left_smaller_counts``: a bottom-up
+merge sort whose int64 keys carry each element's count through every
+level's sort, over base blocks counted by pairwise column comparisons;
 k = 4 in O(n^2) via one sweep over middle pairs, taken in blocks of
 consecutive middle positions as 2-D tables, with two splits read off the
 3-profile.  k = 5, 6 fall back to chunked subset enumeration (|tau| <= 60),
@@ -53,14 +56,31 @@ def _check_exact_size(k: int, n: int) -> None:
         raise PermError(f"k = {k} exact profiles limited to |tau| <= {limit}")
 
 
+def _int64_array(tau: Sequence[int]) -> np.ndarray | None:
+    """tau as a 1-D int64 array, or None unless every entry is an integer.
+    A sequence is read by np.fromiter, which would truncate a float (and
+    parse a str), so its sum decides first: it stays an integer only when
+    every entry is one."""
+    if isinstance(tau, np.ndarray):
+        ok = tau.ndim == 1 and tau.dtype.kind in "iu"
+        return tau.astype(np.int64, copy=False) if ok else None
+    try:
+        if isinstance(sum(tau), (int, np.integer)):
+            return np.fromiter(tau, np.int64, len(tau))
+    except (TypeError, OverflowError):
+        pass
+    return None
+
+
 def perm_array(tau: Sequence[int]) -> np.ndarray:
     """tau as a 1-D int64 array, refused with PermError unless it is a
     permutation of 1..n, n >= 1.  The engines read values as ranks."""
-    v = np.asarray(tau)
-    n = len(v) if v.ndim == 1 else 0
-    if not n or v.dtype.kind not in "iu" or v.min() < 1 or v.max() > n:
+    v = _int64_array(tau)
+    if v is None:
+        raise PermError("not a permutation of 1..n: not a sequence of integers")
+    n = len(v)
+    if not n or v.min() < 1 or v.max() > n:
         raise PermError(f"not a permutation of 1..{n}")
-    v = v.astype(np.int64, copy=False)
     seen = np.zeros(n + 1, dtype=bool)
     seen[v] = True
     if not seen[1:].all():
@@ -124,53 +144,100 @@ def profile_naive(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
 
 
 _BASE = 16
+_SWEEP_CELLS = 1 << 14   # entries per block of the 4-profile sweep, and per
+                         # _block_counts broadcast
 
 
-def _block_counts(rows: np.ndarray) -> np.ndarray:
-    """left_smaller_counts within each row, by one broadcast comparison."""
+def _broadcast_counts(rows: np.ndarray) -> np.ndarray:
+    """left_smaller_counts within each row of a 2-D batch, in its shape, by
+    one broadcast comparison (rows x w x w booleans)."""
     w = rows.shape[1]
     below = rows[:, None, :] < rows[:, :, None]
     below &= np.tri(w, k=-1, dtype=bool)
-    return below.sum(axis=2).ravel()
+    return below.sum(axis=2)
+
+
+def _block_counts(rows: np.ndarray) -> np.ndarray:
+    """_broadcast_counts by pairwise column comparisons over a contiguous
+    copy of the columns, as in pattern_index: w(w - 1)/2 numpy calls, each
+    over every row.  A batch whose broadcast holds at most _SWEEP_CELLS
+    entries takes the broadcast, which costs less than that many calls.
+    """
+    m, w = rows.shape
+    if m * w * w <= _SWEEP_CELLS:
+        return _broadcast_counts(rows)
+    cols = np.ascontiguousarray(rows.T)
+    out = np.zeros(cols.shape, dtype=np.int64)
+    for j in range(1, w):
+        for i in range(j):
+            out[j] += cols[i] < cols[j]
+    return out.T
+
+
+def _left_smaller_perm(v: np.ndarray) -> np.ndarray:
+    """left_smaller_counts of v, a permutation of 1..n as int64 (perm_array).
+
+    Bottom-up merge sort over positions, padded to size = 2^b with the
+    values n + 1..size: blocks of _BASE by _block_counts, then sorted runs
+    double each level.  Each element is one int64 key, packed as
+    value | flag | count + size, with the flag at bit b + 1, so the count
+    rides through every sort.  Before a level's sort the left run's keys
+    get the flag, so an equal left value would sort behind, and the right
+    run's lose their in-run rank r.  After it each right-run key gains its
+    index t in the merged run: its count has gained t - r, the left-run
+    elements ahead of it.  The last run is sorted by value, so the count at
+    index i is value i + 1's.  Keys take 2b + 3 <= 63 bits.  Memory: four
+    int64 arrays of the padded size.
+    """
+    n = len(v)
+    if n > 1 << 30:
+        raise ValueError("left_smaller_counts: n > 2^30 overflows int64 keys")
+    size = 1 << max(n - 1, 0).bit_length()
+    w = min(_BASE, size)
+    keys = np.arange(1, size + 1, dtype=np.int64)   # padding right of every value
+    keys[:n] = v
+    counts = _block_counts(keys.reshape(-1, w))
+    if w == size:                                    # one block, no merge level
+        return counts.ravel()[:n]
+    flag = 2 * size                                  # bit b + 1, above count + size
+    keys *= 2 * flag
+    keys += size
+    blocks = keys.reshape(-1, w)
+    blocks += counts
+    blocks.sort(axis=1)
+    t = np.arange(size, dtype=np.int64)
+    gain = np.empty_like(keys)
+    while w < size:
+        runs = keys.reshape(-1, 2 * w)
+        runs[:, :w] |= flag
+        runs[:, w:] -= t[:w]
+        runs.sort(axis=1)                            # the values are distinct
+        g = gain.reshape(runs.shape)
+        np.bitwise_and(runs, flag, out=g)            # flag in the left run
+        runs -= g
+        g ^= flag                                    # flag in the right run
+        g >>= size.bit_length()                      # 1 in the right run
+        g *= t[:2 * w]
+        runs += g
+        w *= 2
+    keys &= flag - 1
+    keys -= size
+    return keys[v - 1]
 
 
 def left_smaller_counts(values: Sequence[int]) -> np.ndarray:
     """c[j] = #{i < j : values[i] < values[j]}, O(n log n), no loop over j.
 
-    Bottom-up merge sort over positions: blocks of _BASE by one broadcast
-    comparison, then sorted runs double each level and a right-run element
-    gains the left-run elements merged ahead of it.  The sort key
-    value * size + (size - 1 - position) carries the position and puts an
-    equal left-run value behind, so ties are not counted.  Memory: four
-    int64 arrays of the padded size.  |values| must stay below 2^62 / n.
+    The values are ranked 1..n by (value ascending, position descending), so
+    an equal value to the left ranks above and ties are not counted, and the
+    ranks go to the merge kernel _left_smaller_perm: a bottom-up merge sort
+    whose int64 keys carry each element's count through every level's sort.
     """
-    n = len(values)
-    size = 1 << max(n - 1, 0).bit_length()
-    w = min(_BASE, size)
-    keys = np.zeros(size, dtype=np.int64)   # padding sits right of every value
-    keys[:n] = values
-    out = _block_counts(keys.reshape(-1, w))
-    if w == size:                            # one block, no merge level
-        return out[:n]
-    if not 0 <= np.abs(keys).max() < (1 << 62) // size:
-        raise ValueError("left_smaller_counts: values too large for int64 keys")
-    mask = size - 1
-    keys *= size
-    keys += np.arange(mask, -1, -1)
-    pos = np.empty_like(keys)
-    lefts = np.empty_like(keys)
-    while w < size:
-        keys.reshape(-1, 2 * w).sort(axis=1)     # the keys are distinct
-        np.invert(keys, out=pos)
-        pos &= mask
-        np.bitwise_and(pos, w, out=lefts)        # nonzero in the right run
-        right = lefts != 0
-        np.equal(lefts, 0, out=lefts)            # 1 in the left run
-        np.cumsum(lefts.reshape(-1, 2 * w), axis=1, out=lefts.reshape(-1, 2 * w))
-        lefts *= right                           # left-run elements ahead
-        np.add.at(out, pos, lefts)
-        w *= 2
-    return out[:n]
+    a = np.asarray(values)
+    n = len(a)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[n - 1 - np.argsort(a[::-1], kind="stable")] = np.arange(1, n + 1)
+    return _left_smaller_perm(ranks)
 
 
 def inversions(tau: Sequence[int]) -> int:
@@ -184,7 +251,7 @@ def _profile1(v: np.ndarray) -> Dict[Pattern, int]:
 
 def _profile2(v: np.ndarray) -> Dict[Pattern, int]:
     n = len(v)
-    asc = int(left_smaller_counts(v).sum())
+    asc = int(_left_smaller_perm(v).sum())
     return {(1, 2): asc, (2, 1): n * (n - 1) // 2 - asc}
 
 
@@ -212,7 +279,7 @@ def three_counts(v: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _profile3(v: np.ndarray) -> Dict[Pattern, int]:
-    counts = three_counts(v, left_smaller_counts(v))
+    counts = three_counts(v, _left_smaller_perm(v))
     return {p: int(x) for p, x in zip(all_patterns(3), counts)}
 
 
@@ -278,7 +345,7 @@ def _profile4(v: np.ndarray) -> Dict[Pattern, int]:
     table: Dict[Pattern, int] = {p: 0 for p in all_patterns(4)}
     if n < 4:
         return table
-    c_self = left_smaller_counts(v)       # c_self[p] = #{q < p: v_q < v_p}
+    c_self = _left_smaller_perm(v)        # c_self[p] = #{q < p: v_q < v_p}
     cols = (np.arange(n, dtype=float), v.astype(float), c_self.astype(float))
 
     # acc[asc][a, b]: left zone a times right zone b (0..2), then two
@@ -344,7 +411,6 @@ def _profile4(v: np.ndarray) -> Dict[Pattern, int]:
     return table
 
 
-_SWEEP_CELLS = 1 << 14   # entries per block of the 4-profile sweep
 _CHUNK = 1 << 19
 
 

@@ -14,7 +14,7 @@ from permutons import (
 from permutons import counting
 from permutons.counting import (
     PROFILE3_MAX_N, PROFILE4_MAX_N, PermError, _check_exact_size, pattern_index,
-    three_counts,
+    perm_array, three_counts,
 )
 
 
@@ -62,12 +62,44 @@ def test_left_smaller_counts_ties_are_not_counted():
 
 @pytest.mark.parametrize("w", range(1, 18))
 def test_block_counts_match_double_loop_at_every_width(w):
-    # the search scores order-9 rows with it, and order 17 needs width 17
+    # the search scores order-9 rows with it, and order 17 needs width 17.
+    # Up to _SWEEP_CELLS // w^2 rows take one broadcast comparison, one row
+    # more takes the pairwise column comparisons
     rng = np.random.default_rng(w)
-    rows = np.concatenate([rng.permuted(np.tile(np.arange(w), (20, 1)), axis=1),
-                           rng.integers(-2, 3, (20, w))])  # ties not counted
-    got = counting._block_counts(rows).reshape(rows.shape)
-    assert got.tolist() == [_left_smaller_loop(row.tolist()) for row in rows]
+    broadcast_rows = counting._SWEEP_CELLS // (w * w)
+    for m in (broadcast_rows, broadcast_rows + 1):
+        rows = np.concatenate([rng.permuted(np.tile(np.arange(w), (m - m // 2, 1)), axis=1),
+                               rng.integers(-2, 3, (m // 2, w))])  # ties not counted
+        got = counting._block_counts(rows)
+        assert got.shape == rows.shape
+        assert got.tolist() == [_left_smaller_loop(row.tolist()) for row in rows]
+
+
+@pytest.mark.parametrize("k", range(18))
+def test_left_smaller_counts_around_powers_of_two(k):
+    # the merge pads to a power of two: one below, at and one above 2^k,
+    # through the public ranking and through the kernel profile uses
+    rng = np.random.default_rng(100 + k)
+    for n in {max(2**k - 1, 1), 2**k, 2**k + 1}:
+        tau = rng.permutation(n) + 1
+        got = counting._left_smaller_perm(tau)
+        assert got.dtype == np.int64 and len(got) == n
+        assert got.tolist() == left_smaller_counts(tau).tolist()
+        for j in rng.integers(0, n, 20):
+            assert got[j] == int((tau[:j] < tau[j]).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1), max_size=150))
+def test_left_smaller_counts_matches_double_loop_on_any_ints(values):
+    assert left_smaller_counts(values).tolist() == _left_smaller_loop(values)
+
+
+def test_left_smaller_counts_takes_values_near_2_to_the_62():
+    # the ranking step takes any int64 value, ties included, whatever n is
+    near = [2**62 - 1, 2**62, -2**62, -2**62 + 1, 2**63 - 1, -2**63, 0]
+    values = [near[i] for i in np.random.default_rng(8).integers(0, len(near), 500)]
+    assert left_smaller_counts(values).tolist() == _left_smaller_loop(values)
 
 
 def test_left_smaller_counts_memory_is_linear():
@@ -81,6 +113,13 @@ def test_left_smaller_counts_memory_is_linear():
     assert peak < 160 * 2**20, peak / 2**20
     for j in np.random.default_rng(6).integers(0, 10**6, 20):
         assert got[j] == int((tau[:j] < tau[j]).sum())
+
+
+def test_left_smaller_counts_refuses_keys_past_63_bits():
+    # 2b + 3 bits per key for size 2^b: n = 2^30 + 1 pads to 2^31; a
+    # zero-stride view, so nothing of that size is allocated
+    with pytest.raises(ValueError, match="overflows int64 keys"):
+        counting._left_smaller_perm(np.broadcast_to(np.int64(1), (2**30 + 1,)))
 
 
 def test_inversions():
@@ -330,6 +369,32 @@ def test_profile_refuses_through_the_size_table():
 def test_profile_refuses_non_permutations(tau, k):
     with pytest.raises(PermError, match=r"not a permutation of 1\.\."):
         profile(tau, k)
+
+
+@pytest.mark.parametrize("tau", [
+    (1, 2.0, 3),                 # np.fromiter would read 2.0 as 2
+    (2.0, 1.0),
+    (1.5, 2.5),
+    (1, np.float64(2.0)),
+    ("1", "2"),                  # np.fromiter would parse these
+    ((1, 2), (2, 1)),
+    (1, 2**64),
+    np.array([1.0, 2.0]),
+    np.array([[1, 2], [2, 1]]),
+])
+def test_perm_array_refuses_non_integer_entries(tau):
+    with pytest.raises(PermError, match=r"not a permutation of 1\.\."):
+        perm_array(tau)
+
+
+@pytest.mark.parametrize("tau", [
+    np.array([3, 1, 2], dtype=np.int8), np.array([3, 1, 2], dtype=np.uint8),
+    np.array([3, 1, 2], dtype=np.int32), np.array([3, 1, 2], dtype=np.uint64),
+    np.array([3, 1, 2]), (3, 1, 2), [3, 1, 2], (np.int64(3), np.int32(1), 2),
+])
+def test_perm_array_takes_integer_arrays_and_sequences(tau):
+    v = perm_array(tau)
+    assert v.dtype == np.int64 and v.tolist() == [3, 1, 2]
 
 
 def test_naive_oracle_counts_any_sequence():
