@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import sys
 from fractions import Fraction
@@ -73,11 +72,14 @@ def _csv_text(header: list[str], rows: list[list]) -> list[str]:
     return buf.getvalue().splitlines()
 
 
+def _resolution(args) -> dict:
+    r = getattr(args, "resolution", None)  # None, never 0, means the library's default
+    return {} if r is None else {"resolution": r}
+
+
 def _budget(args) -> Budget:
-    r = getattr(args, "resolution", None)  # None, never 0, means the default
     return Budget(samples=args.samples, seed=args.seed,
-                  resolution=2000 if r is None else r,
-                  mode=getattr(args, "mode", "auto") or "auto")
+                  mode=getattr(args, "mode", "auto") or "auto", **_resolution(args))
 
 
 def _seed(text: str) -> int:
@@ -214,8 +216,7 @@ def _run_densities(args) -> list[str]:
 
 def _run_discrepancy(args) -> list[str]:
     tau = _read_perm(args.tau)
-    res = discrepancy(tau, mode=args.method,
-                      resolution=1000 if args.resolution is None else args.resolution)
+    res = discrepancy(tau, mode=args.method, **_resolution(args))
     lines = [f"mode = {res.mode}", f"lower = {res.lower:.12g}",
              f"upper = {res.upper:.12g}"]
     if res.mode == "exact":
@@ -355,7 +356,7 @@ def _run_converge(args) -> list[str]:
 def _run_check_marginals(args) -> list[str]:
     with open(args.permuton) as fh:
         mu = permuton_io.parse_permuton(fh.read())
-    r = 101 if args.resolution is None else args.resolution
+    r = permuton_io.MARGINAL_RESOLUTION if args.resolution is None else args.resolution
     rep = measures.marginal_check(mu, r, args.tol)
     lines = [f"resolution = {rep.resolution}",
              f"max_deviation = {rep.max_deviation:.12g}",
@@ -421,10 +422,6 @@ def main(argv=None) -> int:
         return 2
     _emit(lines, getattr(args, "out", None))
     return 0
-
-
-def console_main() -> None:  # pragma: no cover - thin wrapper
-    sys.exit(main())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,30 +1,33 @@
 """Exact pattern-occurrence counting.
 
-``profile(tau, k)`` returns occurrence counts of every length-k pattern:
-k <= 2 and k = 3 run in O(n log n) from per-position quadrant statistics,
-whose core is the dominance count ``left_smaller_counts``: a bottom-up
-merge sort whose int64 keys carry each element's count through every
-level's sort, over base blocks counted by pairwise column comparisons;
-k = 4 in O(n^2) via one sweep over middle pairs, taken in blocks of
-consecutive middle positions as 2-D tables, with two splits read off the
-3-profile.  k = 5, 6 fall back to chunked subset enumeration (|tau| <= 60),
+``profiles(tau, k)`` gives every table of length r <= min(k, n), k <= 4,
+from one validation and one dominance count, the left-smaller counts
+a_j = #{i < j : v_i < v_j} (the corner-tree view of Even-Zohar and Leng,
+arXiv:1911.01414), and ``profile(tau, k)`` reads its k-th table.
+``dominance_profiles`` turns the counts of one host or of a batch of rows
+(the S_n search scores its rows with it) into every table with r <= 3:
+occ(12) is their sum (``low_profiles``), the 3-table their ``three_counts``.
+A host's count is ``_left_smaller_perm``, an O(n log n) bottom-up merge
+sort whose int64 keys carry each element's count through every level, over
+base blocks counted by column comparisons.  k = 4 adds one O(n^2) sweep
+over middle pairs, in blocks of 2-D tables, with two splits read off the
+3-table.  k = 5, 6 fall back to chunked subset enumeration (|tau| <= 60),
 tallied by ``np.bincount`` of ``pattern_index``, the row-to-pattern index
-built from pairwise column comparisons (the Monte Carlo histogram reads
-the same index straight from its draws, ``measures._draw_patterns``).
-``three_counts`` is the k = 3 formula over the last axis of a batch, shared
-with the S_n search and the k = 4 engine.
+built from pairwise column comparisons (the Monte Carlo histogram reads the
+same index straight from its draws, ``measures._draw_patterns``).
 ``profile_naive`` is the independent oracle used by the test suite; the fast
 paths must agree with it exactly.
 
-All counts are Python ints (the numpy accumulators stay below 2^63 for
-n <= 10^4: the largest is bounded by n^4 < 2^54, and each k = 4 block
-sums at most 2^14 products of at most n^2, exactly in float64).
+``profile`` and ``profiles`` count in Python ints (the numpy accumulators
+stay below 2^63 for n <= 10^4: the largest is bounded by n^4 < 2^54, and
+each k = 4 block sums at most 2^14 products of at most n^2, exactly in
+float64).
 ``_check_exact_size`` is the one table of the sizes the engines take:
 k <= 6, |tau| <= 60 for k = 5, 6, PROFILE4_MAX_N = 10^4 for k = 4 and
 PROFILE3_MAX_N = 3 * 10^6 for k = 3 (C(n, 3) passes 2^63 near 3.8 * 10^6).
 Larger requests are refused with ``PermError`` before any work, and
-``profile`` then takes only a permutation of 1..n (``perm_array``); the
-``_naive`` oracles count patterns of any sequence.
+``profile`` and ``profiles`` then take only a permutation of 1..n
+(``perm_array``); the ``_naive`` oracles count patterns of any sequence.
 """
 
 from __future__ import annotations
@@ -245,16 +248,6 @@ def inversions(tau: Sequence[int]) -> int:
     return n * (n - 1) // 2 - int(left_smaller_counts(tau).sum())
 
 
-def _profile1(v: np.ndarray) -> Dict[Pattern, int]:
-    return {(1,): len(v)}
-
-
-def _profile2(v: np.ndarray) -> Dict[Pattern, int]:
-    n = len(v)
-    asc = int(_left_smaller_perm(v).sum())
-    return {(1, 2): asc, (2, 1): n * (n - 1) // 2 - asc}
-
-
 def three_counts(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Six length-3 occurrence counts of each row of v, over the last axis.
 
@@ -278,9 +271,20 @@ def three_counts(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.stack((c123, c132, c213, c231, c312, c321))
 
 
-def _profile3(v: np.ndarray) -> Dict[Pattern, int]:
-    counts = three_counts(v, _left_smaller_perm(v))
-    return {p: int(x) for p, x in zip(all_patterns(3), counts)}
+def low_profiles(n: int, occ12) -> dict:
+    """The r <= 2 tables of a length-n host with occ(12) = occ12, an int or
+    an array of them (one per row of a batch)."""
+    return {1: {(1,): n}, 2: {(1, 2): occ12, (2, 1): math.comb(n, 2) - occ12}}
+
+
+def dominance_profiles(v: np.ndarray, a: np.ndarray, k: int) -> dict:
+    """The r <= min(k, 3) tables of each row of v over the last axis from its
+    left-smaller counts a: occ(12) is their sum, the 3-table their
+    three_counts.  Entries are numpy scalars, or arrays over a batch."""
+    tables = low_profiles(v.shape[-1], a.sum(axis=-1))
+    if k >= 3:
+        tables[3] = dict(zip(all_patterns(3), three_counts(v, a)))
+    return tables
 
 
 def _zone_pattern(asc: bool, zi: int, zl: int, tilt: float = 0.0) -> Pattern:
@@ -318,16 +322,17 @@ def _relation_gaps(table4: Dict[Pattern, int], table3: Dict[Pattern, int],
             for sigma, terms in _OCC3_IN4.items()}
 
 
-def _profile4(v: np.ndarray) -> Dict[Pattern, int]:
-    """O(n^2) 4-pattern table.
+def _profile4(v: np.ndarray, c_self: np.ndarray, three: Dict[Pattern, int]) -> Dict[Pattern, int]:
+    """O(n^2) 4-pattern table of v, n >= 4, from its left-smaller counts
+    c_self and its 3-profile three.
 
     One sweep classifies each quadruple (i < j < k < l) by the middle pair
     (j, k): whether v_j < v_k, and the value zones of v_i and v_l relative to
     (min, max) of the pair.  Twelve signatures determine the pattern
     outright; the six with equal zones cover two patterns each.  The sweep
-    counts one pattern of four such pairs; the 3-profile, from the same
-    dominance count, gives 3124 (sigma = 213) and 1432 (sigma = 132) through
-    the _OCC3_IN4 relations, and all six relations are checked at the end.
+    counts one pattern of four such pairs; the 3-profile gives 3124
+    (sigma = 213) and 1432 (sigma = 132) through the _OCC3_IN4 relations,
+    and all six relations are checked at the end.
     Partners follow by subtraction.
 
     The sweep takes B = _SWEEP_CELLS // n consecutive middle positions j at
@@ -343,9 +348,6 @@ def _profile4(v: np.ndarray) -> Dict[Pattern, int]:
     """
     n = len(v)
     table: Dict[Pattern, int] = {p: 0 for p in all_patterns(4)}
-    if n < 4:
-        return table
-    c_self = _left_smaller_perm(v)        # c_self[p] = #{q < p: v_q < v_p}
     cols = (np.arange(n, dtype=float), v.astype(float), c_self.astype(float))
 
     # acc[asc][a, b]: left zone a times right zone b (0..2), then two
@@ -399,7 +401,6 @@ def _profile4(v: np.ndarray) -> Dict[Pattern, int]:
     # the last two from the 3-profile: with 3124 = 1432 = 0 placed, the 213
     # gap is (occ(213, 3124) - occ(213, 4123)) N4(3124) = 2 N4(3124), as 1432
     # and 2431 hold equally many 213s; likewise the 132 gap is 2 N4(1432)
-    three = dict(zip(all_patterns(3), map(int, three_counts(v, c_self))))
     split(True, 2, (3, 1, 2, 4), 0)
     split(False, 0, (1, 4, 3, 2), 0)
     gap = _relation_gaps(table, three, n)
@@ -424,20 +425,30 @@ def _profile_enum(v: np.ndarray, k: int) -> Dict[Pattern, int]:
     return dict(zip(all_patterns(k), counts.tolist()))
 
 
+def profiles(tau: Sequence[int], k: int) -> Dict[int, Dict[Pattern, int]]:
+    """{r: profile(tau, r)} for r <= min(k, n), 1 <= k <= 4, tau a permutation
+    of 1..n: one validation and one dominance count (none for k = 1)."""
+    n = len(tau)
+    if not 1 <= k <= 4:
+        raise PermError(f"profiles support 1 <= k <= 4, not k = {k}")
+    k = min(k, n) or k                     # n = 0 is refused as profile refuses it
+    _check_exact_size(k, n)
+    v = perm_array(tau)
+    if k == 1:
+        return {1: {(1,): n}}
+    a = _left_smaller_perm(v)
+    tables = {r: {p: int(x) for p, x in table.items()}
+              for r, table in dominance_profiles(v, a, k).items()}
+    if k == 4:
+        tables[4] = _profile4(v, a, tables[3])
+    return tables
+
+
 def profile(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
     """Occurrence count of every length-k pattern in tau, a permutation of
     1..n; other sequences are refused with PermError."""
     _check_exact_size(k, len(tau))
-    v = perm_array(tau)
-    if k == 1:
-        return _profile1(v)
-    if k == 2:
-        return _profile2(v)
-    if k == 3:
-        return _profile3(v)
-    if k == 4:
-        return _profile4(v)
-    return _profile_enum(v, k)
+    return profiles(tau, k)[k] if k <= 4 else _profile_enum(perm_array(tau), k)
 
 
 def occurrences(pattern: Pattern, tau: Sequence[int]) -> int:

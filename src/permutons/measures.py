@@ -791,7 +791,7 @@ def grid_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
     Flat grids of a permutation tau (n >= 2) use the block-decomposition
     formula t(pi, mu_tau) = (k!/n^k) * sum over decompositions of
     occ(sigma, tau) / prod (m_t!)^2, read from the integer terms in
-    ``FLAT_TERMS`` and each profile(tau, r), r <= k, once.  Other grids
+    ``FLAT_TERMS`` and ``counting.profiles(tau, k)``, all r <= k at once.  Other grids
     make one numpy pass over the cell multisets (refused beyond
     GRID_MULTISET_MAX), grouped by how their points tie in rows and
     columns, with the two independent uniform tie-break orders inside
@@ -828,10 +828,8 @@ def density_exact_grid(pi, mu: GridPermuton) -> Fraction:
 
 
 def _flat_densities(tau: tuple[int, ...], k: int) -> dict[tuple[int, ...], Fraction]:
-    n = len(tau)
-    profs = {r: counting.profile(tau, r) for r in range(1, min(k, n) + 1)}
-    denom = math.factorial(k) * n ** k
-    return {pi: Fraction(total, denom) for pi, total in _flat_sums(profs, k).items()}
+    denom = math.factorial(k) * len(tau) ** k
+    return {pi: Fraction(t, denom) for pi, t in _flat_sums(counting.profiles(tau, k), k).items()}
 
 
 def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:

@@ -118,7 +118,7 @@ def _tail_table(t: int) -> tuple[np.ndarray, np.ndarray]:
         table = np.concatenate([
             np.column_stack((np.full(len(table), f), table + (table >= f)))
             for f in range(s)])
-    occ12 = np.triu(table[:, :, None] < table[:, None, :], 1).sum((1, 2))
+    occ12 = counting._broadcast_counts(table).sum(1)
     table.flags.writeable = occ12.flags.writeable = False
     return table, occ12
 
@@ -141,11 +141,6 @@ def _perm_chunks(n: int, admitted: np.ndarray) -> Iterable[np.ndarray]:
         yield block
 
 
-def _low_profiles(n: int, occ12) -> dict:
-    """The r <= 2 profiles of a length-n row with occ(12) = occ12."""
-    return {1: {(1,): n}, 2: {(1, 2): occ12, (2, 1): math.comb(n, 2) - occ12}}
-
-
 def _score_hits(v: np.ndarray) -> np.ndarray:
     """Rows whose flat grid measure is exactly 3-symmetric.  Each pattern's
     FLAT_TERMS[3] sum S gives t(pi, mu_tau) = S / (3! n^3), so t = 1/6 for
@@ -157,10 +152,8 @@ def _score_hits(v: np.ndarray) -> np.ndarray:
     # keeps every job's output, so the extra jobs lift its peak RSS past
     # the benchmark's bound
     a = counting._broadcast_counts(v)
-    profiles = _low_profiles(n, a.sum(1))
-    profiles[3] = dict(zip(counting.all_patterns(3), counting.three_counts(v, a)))
     ok = np.ones(len(v), dtype=bool)
-    for total in _flat_sums(profiles, 3).values():
+    for total in _flat_sums(counting.dominance_profiles(v, a, 3), 3).values():
         ok &= total == n ** 3
     return ok
 
@@ -173,7 +166,7 @@ def _order_conditions(n: int) -> dict:
     """Per pattern pi, which occ(12) = a in 0..C(n, 2) leave n^3 less the r <= 2
     terms of pi's FLAT_TERMS[3] sum a non-negative multiple of _W3[pi]."""
     a = np.arange(math.comb(n, 2) + 1, dtype=np.int64)
-    rests = {pi: n ** 3 - low for pi, low in _flat_sums(_low_profiles(n, a), 3).items()}
+    rests = {pi: n ** 3 - low for pi, low in _flat_sums(counting.low_profiles(n, a), 3).items()}
     return {pi: (rest >= 0) & (rest % _W3[pi] == 0) for pi, rest in rests.items()}
 
 

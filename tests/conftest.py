@@ -1,3 +1,5 @@
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from permutons import Perm
+from permutons.counting import pattern_index
 
 # fixed example sequences: every run draws the same hypothesis examples
 settings.register_profile("derandomized", derandomize=True)
@@ -29,3 +32,22 @@ def rng():
 
 def random_perm(rng, n: int) -> Perm:
     return Perm(tuple(int(v) + 1 for v in rng.permutation(n)))
+
+
+def occ_by_subsets(rows, r):
+    """occ_r of each pattern in all_patterns(r) per row, one column each,
+    counted over every r-subset of positions."""
+    out = np.zeros((len(rows), math.factorial(r)), dtype=np.int64)
+    for cols in itertools.combinations(range(rows.shape[1]), r):
+        out[np.arange(len(rows)), pattern_index(rows[:, cols])] += 1
+    return out
+
+
+def control_hits(v):
+    """An orbit-invariant stand-in for symmetry._score_hits that some admitted rows
+    of S_9 meet: min(occ12, occ21) = 16 and occ(123) + occ(321) = 15."""
+    occ12 = occ_by_subsets(v, 2)[:, 0]
+    ok = np.minimum(occ12, math.comb(v.shape[1], 2) - occ12) == 16
+    occ3 = occ_by_subsets(v[ok], 3)
+    ok[ok] = occ3[:, 0] + occ3[:, 5] == 15
+    return ok

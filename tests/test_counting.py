@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from permutons import (
     all_patterns, inversions, left_smaller_counts, occurrences,
     occurrences_naive, pattern_of, profile, profile_naive,
 )
-from permutons import counting
+from permutons import counting, from_perm, grid_densities, symmetry
 from permutons.counting import (
     PROFILE3_MAX_N, PROFILE4_MAX_N, PermError, _check_exact_size, pattern_index,
     perm_array, three_counts,
 )
+from permutons.measures import _flat_sums
+
+from conftest import control_hits
 
 
 def test_pattern_of():
@@ -167,6 +171,104 @@ def test_profile_enum_across_chunk_boundaries(monkeypatch, k):
     for n in range(9, 13):
         tau = tuple(int(v) + 1 for v in np.random.default_rng(n).permutation(n))
         assert profile(tau, k) == profile_naive(tau, k), n
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_profiles_give_every_table_up_to_k(n):
+    # r <= min(k, n): hosts shorter than k get the tables they have
+    rng = np.random.default_rng(60 + n)
+    for tau in {tuple(range(1, n + 1)), tuple(range(n, 0, -1)),
+                *(tuple(int(v) + 1 for v in rng.permutation(n)) for _ in range(4))}:
+        for k in range(1, 5):
+            tables = counting.profiles(tau, k)
+            assert list(tables) == list(range(1, min(k, n) + 1)), (tau, k)
+            for r, table in tables.items():
+                assert table == profile(tau, r) == profile_naive(tau, r), (tau, k, r)
+                assert list(table) == all_patterns(r)
+
+
+def test_profiles_refuse_before_any_work(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("validated after the size check")
+    monkeypatch.setattr(counting, "perm_array", refuse)
+    for k in (0, 5):
+        with pytest.raises(PermError, match="1 <= k <= 4"):
+            counting.profiles((1, 2, 3), k)
+    with pytest.raises(PermError, match=str(PROFILE4_MAX_N)):
+        counting.profiles(range(1, PROFILE4_MAX_N + 2), 4)
+    with pytest.raises(PermError, match="out of range"):
+        counting.profiles((), 2)
+    monkeypatch.undo()
+    with pytest.raises(PermError, match=r"not a permutation of 1\.\."):
+        counting.profiles((1, 3), 4)
+
+
+def test_tables_hold_python_ints():
+    # numpy scalars would carry int64 arithmetic into the Fractions of the
+    # flat-grid densities, where n^k products overflow silently
+    tau = tuple(int(v) + 1 for v in np.random.default_rng(4).permutation(12))
+    for k in range(1, 7):
+        assert all(type(x) is int for x in profile(tau, k).values()), k
+    for table in counting.profiles(tau, 4).values():
+        assert all(type(x) is int for x in table.values())
+    big = tuple(int(v) + 1 for v in np.random.default_rng(5).permutation(3000))
+    for k in (3, 4):
+        dens = grid_densities(from_perm(big), k)
+        assert all(type(t.numerator) is int and type(t.denominator) is int
+                   for t in dens.values())
+        assert sum(dens.values()) == 1
+
+
+def _score_sums(monkeypatch, batch):
+    """The FLAT_TERMS[3] sums _score_hits compares for each row, and its mask."""
+    sums = []
+
+    def capture(profiles, k):
+        sums.append(_flat_sums(profiles, k))
+        return sums[-1]
+
+    monkeypatch.setattr(symmetry, "_flat_sums", capture)
+    mask = symmetry._score_hits(batch)
+    monkeypatch.undo()
+    return sums[-1], mask
+
+
+def test_search_scores_rows_as_the_single_host_tables(monkeypatch):
+    # the batch's r <= 3 tables, from one broadcast count over its rows,
+    # against each row's own counting.profiles; 0-based rows as the search
+    # scores its tails
+    rng = np.random.default_rng(89)
+    s9 = np.array(list(itertools.permutations(range(1, 10))), dtype=np.int64)
+    batches = [s9[control_hits(s9)],
+               np.array([rng.permutation(8) + 1 for _ in range(300)]),
+               np.array([rng.permutation(9) for _ in range(300)])]
+    assert len(batches[0]) == 240
+    for batch in batches:
+        n = batch.shape[1]
+        sums, mask = _score_sums(monkeypatch, batch)
+        for i, row in enumerate(batch + 1 - batch.min()):
+            one = _flat_sums(counting.profiles(tuple(row.tolist()), 3), 3)
+            assert {pi: int(s[i]) for pi, s in sums.items()} == one, row
+            assert mask[i] == all(total == n ** 3 for total in one.values())
+
+
+def test_flat_table_takes_one_dominance_count(monkeypatch):
+    # the r <= 4 tables of a flat grid from one validation, one merge kernel
+    # and one three_counts; k = 1 runs no dominance count at all
+    calls = Counter()
+    for name in ("perm_array", "_left_smaller_perm", "three_counts"):
+        real = getattr(counting, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(counting, name, counted)
+    tau = (5, 11, 2, 8, 12, 1, 7, 3, 10, 4, 9, 6)
+    grid_densities(from_perm(tau), 4)
+    assert calls == {"perm_array": 1, "_left_smaller_perm": 1, "three_counts": 1}
+    calls.clear()
+    assert profile(tau, 1) == {(1,): 12}
+    assert calls == {"perm_array": 1}
 
 
 def test_profile4_across_block_boundaries(monkeypatch):

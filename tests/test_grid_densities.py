@@ -260,22 +260,28 @@ def test_returned_table_is_a_copy():
 
 
 def test_symmetry_defect_builds_each_profile_once(monkeypatch):
+    # one counting.profiles call gives the r <= 4 tables; none goes
+    # through counting.profile
     calls = Counter()
-    real = counting.profile
 
-    def counted(tau, k):
-        calls[k] += 1
-        return real(tau, k)
+    def counter(name):
+        real = getattr(counting, name)
 
-    monkeypatch.setattr(counting, "profile", counted)
+        def counted(tau, k):
+            calls[name, k] += 1
+            return real(tau, k)
+        return counted
+
+    for name in ("profile", "profiles"):
+        monkeypatch.setattr(counting, name, counter(name))
     mu = from_perm(random_perm(np.random.default_rng(11), 12))
     verdict = symmetry_defect(mu, 4)
-    assert calls == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert calls == {("profiles", 4): 1}
     # the lemma integrals and the chain build no profile at all
     lemma_integrals(mu)
     cs_chain(mu)
     symmetry_defect(mu, 4)
-    assert calls == {1: 1, 2: 1, 3: 1, 4: 1}
+    assert calls == {("profiles", 4): 1}
     assert not verdict.symmetric
 
 

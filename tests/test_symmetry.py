@@ -13,13 +13,13 @@ from permutons import (
     reflection_report, search_inflatable, symmetry_defect, uniform,
 )
 from permutons import symmetry as symmetry_module
-from permutons.counting import all_patterns, pattern_index
+from permutons.counting import all_patterns, low_profiles, pattern_index
 from permutons.measures import FLAT_TERMS, _flat_sums, _multiset_densities
 from permutons.perms import defect_witness
-from permutons.symmetry import _W3, _admitted_occ12, _end_filter, _low_profiles, \
-    _order_conditions, _perm_chunks, _score_hits
+from permutons.symmetry import _W3, _admitted_occ12, _end_filter, _order_conditions, \
+    _perm_chunks, _score_hits
 
-from conftest import BALANCED_9, FIXTURES
+from conftest import BALANCED_9, FIXTURES, control_hits, occ_by_subsets
 
 F = Fraction
 
@@ -223,15 +223,6 @@ def test_every_reverse_complement_orbit_meets_the_end_filter(n):
     assert np.logical_or.reduce([_end_filter(v) for v in images]).all()
 
 
-def _occ_by_subsets(rows, r):
-    """occ_r of each pattern in all_patterns(r) per row, one column each,
-    counted over every r-subset of positions."""
-    out = np.zeros((len(rows), math.factorial(r)), dtype=np.int64)
-    for cols in itertools.combinations(range(rows.shape[1]), r):
-        out[np.arange(len(rows)), pattern_index(rows[:, cols])] += 1
-    return out
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_order_gate_models_the_score_sums(monkeypatch, n):
     # every sum _score_hits compares is _W3[pi] occ_3(pi) plus the r <= 2
@@ -245,9 +236,9 @@ def test_order_gate_models_the_score_sums(monkeypatch, n):
     monkeypatch.setattr(symmetry_module, "_flat_sums", capture)
     rows = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
     _score_hits(rows)
-    occ12 = _occ_by_subsets(rows, 2)[:, 0]
-    occ3 = _occ_by_subsets(rows, 3)
-    low = _flat_sums(_low_profiles(n, occ12), 3)
+    occ12 = occ_by_subsets(rows, 2)[:, 0]
+    occ3 = occ_by_subsets(rows, 3)
+    low = _flat_sums(low_profiles(n, occ12), 3)
     assert list(sums[-1]) == all_patterns(3)
     for j, pi in enumerate(all_patterns(3)):
         assert np.array_equal(_W3[pi] * occ3[:, j] + low[pi], sums[-1][pi]), pi
@@ -315,7 +306,7 @@ def test_admitted_chunks_are_the_sn_rows_with_admitted_occ12(n):
     admitted = _admitted_occ12(n)
     rows = np.concatenate(list(_perm_chunks(n, admitted)))
     sn = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-    expected = sn[admitted[_occ_by_subsets(sn, 2)[:, 0]]]
+    expected = sn[admitted[occ_by_subsets(sn, 2)[:, 0]]]
     assert np.array_equal(rows, expected)
     assert len(rows) == (math.factorial(n) // 4 if n in (8, 9) else 0)
 
@@ -326,30 +317,20 @@ def test_admission_counts_pairs_across_longer_prefixes(monkeypatch, n):
     # prefixes up to length 5, and arbitrary masks stand in for the gate's
     monkeypatch.setattr(symmetry_module, "_TAIL", 2)
     sn = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-    occ12 = _occ_by_subsets(sn, 2)[:, 0]
+    occ12 = occ_by_subsets(sn, 2)[:, 0]
     for mask in (np.arange(math.comb(n, 2) + 1) % 3 == 1,
                  np.arange(math.comb(n, 2) + 1) >= math.comb(n, 2) // 2):
         rows = np.concatenate(list(_perm_chunks(n, mask)))
         assert np.array_equal(rows, sn[mask[occ12]]), mask
 
 
-def _control_hits(v):
-    """An orbit-invariant stand-in for _score_hits that some admitted rows
-    of S_9 meet: min(occ12, occ21) = 16 and occ(123) + occ(321) = 15."""
-    occ12 = _occ_by_subsets(v, 2)[:, 0]
-    ok = np.minimum(occ12, math.comb(v.shape[1], 2) - occ12) == 16
-    occ3 = _occ_by_subsets(v[ok], 3)
-    ok[ok] = occ3[:, 0] + occ3[:, 5] == 15
-    return ok
-
-
 def test_admission_keeps_every_row_of_a_positive_control(monkeypatch):
     # S_9 has no 3-inflatable row, so an empty result cannot show a dropped
     # hit; this predicate's hits have occ(12) in {16, 20}, both admitted
     sn = np.array(list(itertools.permutations(range(1, 10))), dtype=np.int64)
-    expected = [Perm(tuple(row)) for row in sn[_control_hits(sn)].tolist()]
+    expected = [Perm(tuple(row)) for row in sn[control_hits(sn)].tolist()]
     assert len(expected) == 240
-    monkeypatch.setattr(symmetry_module, "_score_hits", _control_hits)
+    monkeypatch.setattr(symmetry_module, "_score_hits", control_hits)
     assert search_inflatable(9, 3) == expected
     assert _unfiltered_search(9) == expected
 
