@@ -9,19 +9,23 @@ arXiv:1911.01414), and ``profile(tau, k)`` reads its k-th table.
 occ(12) is their sum (``low_profiles``), the 3-table their ``three_counts``.
 A host's count is ``_left_smaller_perm``, an O(n log n) bottom-up merge
 sort whose int64 keys carry each element's count through every level, over
-base blocks counted by column comparisons.  k = 4 adds one O(n^2) sweep
-over middle pairs, in blocks of 2-D tables, with two splits read off the
-3-table.  k = 5, 6 fall back to chunked subset enumeration (|tau| <= 60),
-tallied by ``np.bincount`` of ``pattern_index``, the row-to-pattern index
-built from pairwise column comparisons (the Monte Carlo histogram reads the
-same index straight from its draws, ``measures._draw_patterns``).
+base blocks counted by column comparisons.  k = 4 solves for the 24
+4-counts from 24 sums over each point's four quadrant counts, which the
+same count gives: fourteen stars, in O(n); nine two-node corner trees; and
+sum_{j < k} Q R, the one dimension outside the corner-tree span.  The
+ascending trees and Q R come from one O(n^2) sweep in blocks of 2-D tables
+(``_profile4``).  k = 5, 6 fall back to chunked subset enumeration
+(|tau| <= 60), tallied by ``np.bincount`` of ``pattern_index``, the
+row-to-pattern index built from pairwise column comparisons (the Monte
+Carlo histogram reads the same index straight from its draws,
+``measures._draw_patterns``).
 ``profile_naive`` is the independent oracle used by the test suite; the fast
 paths must agree with it exactly.
 
 ``profile`` and ``profiles`` count in Python ints (the numpy accumulators
-stay below 2^63 for n <= 10^4: the largest is bounded by n^4 < 2^54, and
-each k = 4 block sums at most 2^14 products of at most n^2, exactly in
-float64).
+stay below 2^63 for n <= 10^4: the largest is bounded by n^4 < 2^54, the
+k = 4 solve by 2^57, and each k = 4 block sums at most 2^15 products of
+at most n^2, exactly in float64).
 ``_check_exact_size`` is the one table of the sizes the engines take:
 k <= 6, |tau| <= 60 for k = 5, 6, PROFILE4_MAX_N = 10^4 for k = 4 and
 PROFILE3_MAX_N = 3 * 10^6 for k = 3 (C(n, 3) passes 2^63 near 3.8 * 10^6).
@@ -147,8 +151,8 @@ def profile_naive(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
 
 
 _BASE = 16
-_SWEEP_CELLS = 1 << 14   # entries per block of the 4-profile sweep, and per
-                         # _block_counts broadcast
+_BROADCAST_CELLS = 1 << 14   # entries per _block_counts broadcast
+_SWEEP_CELLS = 1 << 15       # entries per block of the 4-profile sweep
 
 
 def _broadcast_counts(rows: np.ndarray) -> np.ndarray:
@@ -163,11 +167,11 @@ def _broadcast_counts(rows: np.ndarray) -> np.ndarray:
 def _block_counts(rows: np.ndarray) -> np.ndarray:
     """_broadcast_counts by pairwise column comparisons over a contiguous
     copy of the columns, as in pattern_index: w(w - 1)/2 numpy calls, each
-    over every row.  A batch whose broadcast holds at most _SWEEP_CELLS
+    over every row.  A batch whose broadcast holds at most _BROADCAST_CELLS
     entries takes the broadcast, which costs less than that many calls.
     """
     m, w = rows.shape
-    if m * w * w <= _SWEEP_CELLS:
+    if m * w * w <= _BROADCAST_CELLS:
         return _broadcast_counts(rows)
     cols = np.ascontiguousarray(rows.T)
     out = np.zeros(cols.shape, dtype=np.int64)
@@ -228,18 +232,27 @@ def _left_smaller_perm(v: np.ndarray) -> np.ndarray:
     return keys[v - 1]
 
 
-def left_smaller_counts(values: Sequence[int]) -> np.ndarray:
-    """c[j] = #{i < j : values[i] < values[j]}, O(n log n), no loop over j.
-
-    The values are ranked 1..n by (value ascending, position descending), so
-    an equal value to the left ranks above and ties are not counted, and the
-    ranks go to the merge kernel _left_smaller_perm: a bottom-up merge sort
-    whose int64 keys carry each element's count through every level's sort.
-    """
-    a = np.asarray(values)
+def _ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a's entries by (value ascending, position descending):
+    an equal value to the left ranks above, so ties are not counted."""
     n = len(a)
     ranks = np.empty(n, dtype=np.int64)
     ranks[n - 1 - np.argsort(a[::-1], kind="stable")] = np.arange(1, n + 1)
+    return ranks
+
+
+def left_smaller_counts(values: Sequence[int]) -> np.ndarray:
+    """c[j] = #{i < j : values[i] < values[j]}, O(n log n), no loop over j.
+
+    A permutation of 1..n is its own ranks; other values (ties, any integers
+    or any ordered type) are ranked by _ranks first.  The ranks go to the
+    merge kernel _left_smaller_perm: a bottom-up merge sort whose int64 keys
+    carry each element's count through every level's sort.
+    """
+    try:
+        ranks = perm_array(values)
+    except PermError:
+        ranks = _ranks(np.asarray(values))
     return _left_smaller_perm(ranks)
 
 
@@ -287,129 +300,166 @@ def dominance_profiles(v: np.ndarray, a: np.ndarray, k: int) -> dict:
     return tables
 
 
-def _zone_pattern(asc: bool, zi: int, zl: int, tilt: float = 0.0) -> Pattern:
-    """Pattern of a quadruple whose middle pair ascends (asc) and whose first
-    and last points lie in value zones zi and zl: 0 below both middle values,
-    1 between, 2 above.  In a shared zone, tilt > 0 puts the first point
-    below the last."""
-    vj, vk = (2.0, 3.0) if asc else (3.0, 2.0)
-    reps = (1.0, 2.5, 4.0)
-    return pattern_of([reps[zi] - tilt, vj, vk, reps[zl] + tilt])
+# The 4-table is read off 24 sums over the quadrant counts of each point j:
+# LB, LA, RB, RA = #{i < j : v_i < v_j}, #{i < j : v_i > v_j},
+# #{i > j : v_i < v_j}, #{i > j : v_i > v_j} (index 0..3 below).
+# Fourteen star sums, sum_j prod_q C(quadrant q of j, m_q), one per
+# exponent row m of _STARS (the first fourteen of the twenty with
+# m_LB + m_LA + m_RB + m_RA = 3 that add rank over S_4, in
+# lexicographic order);
+_STARS = np.array([(0, 0, 0, 3), (0, 0, 1, 2), (0, 0, 2, 1), (0, 0, 3, 0),
+                   (0, 1, 0, 2), (0, 1, 1, 1), (0, 1, 2, 0), (0, 2, 0, 1),
+                   (0, 2, 1, 0), (1, 0, 0, 2), (1, 0, 1, 1), (1, 1, 0, 1),
+                   (1, 1, 1, 0), (2, 0, 0, 1)])
+# eight ascending and one descending two-node corner tree,
+# sum over j < k with v_j < v_k (v_j > v_k) of f(j) g(k), per quadrant pair
+# (f, g);
+_ASC_TREES = np.array([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)])
+_DESC_TREES = np.array([(0, 0)])
+# and the one sum outside the corner-tree span, sum_{j < k} Q R with
+# Q = #{i < j : v_i < v_k} and R = #{j < p <= k : v_p < v_j}.
+# Row pi of _SOLVE holds det * N4(pi) as an integer combination of the 24
+# sums (stars, ascending trees, descending tree, QR, in that order) and the
+# six 3-counts of all_patterns(3): its first 24 columns are the adjugate of
+# the sums' coefficients over S_4 (det is their determinant), and the last
+# six cancel the sums' 3-point parts (none has a 2-point part).
+# tests/test_counting.py derives both from profile_naive.
+_SOLVE_DET = -2
+_SOLVE = np.array([row.split()[1:] for row in """
+1234  0  0  0  0  0  0  0  0  0 -4 -2 -2  0 -4  2  2  2  0  0  0  0  0  0  0 -4  0  0  0  0  0
+1243  0  0  0  0  0  0  0  0  0  2  2  2  0  4 -2 -2 -2  0  0  0  0  0  0  0  4  0  0  0  0  0
+1324  1  1  1  0  1  0 -1  3  1  2  1  2  0  3 -2 -1 -2 -1 -1  0  0 -1  0 -1  4  1  2  1  2  0
+1342 -1  1  1  0  1  2 -1 -1  1  2  1  0  0 -1  0  1 -2 -1  1 -2  0 -1  0  1  0 -1  2  1  0  0
+1423 -1 -1 -1  0  3  2  1  1 -1  2  1  0  0 -1  0 -1  0 -1 -1 -2  0  1  0  1  0 -1  2 -1  2  0
+1432 -1 -1 -1  0 -5 -4  1 -3 -1 -4 -3 -2  0 -1  2  1  4  3  1  4  0  1  0 -1 -4  1 -6 -1 -4  0
+2134  0  0  0  0  0  0  0  0  0  4  2  2  0  2 -2 -2 -2  0  0  0  0  0  0  0  4  0  0  0  0  0
+2143  2  2  4  6 -6 -6 -2 -4 -4 -8 -6 -6 -2 -6  4  2  4  2  0  2  0  0  0  0 -8  0 -4  0 -2  0
+2314 -1 -1 -1  0 -1  0  1 -3 -1  0 -1  0  0  1  0 -1  2  1  1  0  0  1  0  1  0 -1 -2 -1 -2  0
+2341  1 -1 -1  0 -1 -2  1  1 -1 -4 -3 -2  0 -3  2  1  2  1 -1  2  0  1  0 -1 -4  1 -2 -1  0  0
+2413 -1 -1 -1 -4  3  4  1  1  3  4  5  2  2  3 -2  1 -4 -1  1 -2  0 -1  0 -1  4  1  2  1  0  0
+2431 -1 -1 -1 -2  5  4 -1  5  3  4  3  4  0  3 -2 -1 -2 -3 -1 -2  0 -1  0  1  4 -1  6  1  4  0
+3124 -1 -1 -1  0 -1  0  1 -3 -1  0  1 -2  0  1  0  1  0  1  1  0  0  1  0  1  0 -1 -2 -1 -2  0
+3142 -1 -3 -7 -4  5  4 -1  7  5  4  1  6  2  3 -2 -1 -2 -3 -1 -2  2  1  0 -1  4  1  2 -3  4  0
+3214  3  3  3  4 -1 -2 -3  1 -1 -4 -3 -2 -2 -5  2  1  0 -1 -1  0  0 -1  0 -1 -4  1  2  1  2  0
+3241 -3 -1  1 -4  1  2  3 -1  1  4  5  2  2  5 -2 -1  0  1  1  0 -2 -1  0  1  4 -1  2  3 -2  0
+3412  0  0  0 -4  0  0  4  0  0  0  0  0  0  0  0  0  4  2  0  4 -2  0 -2  0  0  2  0  2 -2  0
+3421  2  2  2  8 -4 -4 -4 -4 -4 -4 -4 -4 -2 -4  2  0 -2  0  0 -2  2  0  2  0 -4 -2 -4 -2  0  0
+4123  1  1  1  0 -3 -2 -1 -1  1 -4 -3 -2  0 -3  2  1  2  1  1  2  0 -1  0 -1 -4  1 -2  1 -2  0
+4132 -1  1  3 -2  3  4  3  1 -1  4  5  2  0  3 -2 -1 -2 -1 -1 -2 -2 -1  0  1  4 -1  6  3  2  0
+4213 -3 -3 -3 -4  3  2  3  3  1  4  3  4  2  5 -2 -1  0 -1 -1  0  0  1  0  1  4 -1  2 -1  2  0
+4231  3  1 -1  4 -3 -4 -3 -3 -1 -4 -5 -4 -2 -5  2  1  0  1  1  0  2  1  0 -1 -4  1 -6 -3 -2  0
+4312  2  2  2  8 -4 -4 -6 -4 -2 -4 -4 -4 -2 -4  2  0 -2  0  0 -2  2  0  2  0 -4 -2 -4 -2  0  0
+4321 -2 -2 -2 -8  4  4  4  4  2  4  4  4  2  4 -2  0  2  0  0  2 -2  0 -2  0  4  2  4  2  0  0
+""".split("\n")[1:-1]], dtype=np.int64)
 
 
-# the twelve signatures (asc, zi, zl) whose zones differ fix the pattern
-_SIG_MAP = {(asc, zi, zl): _zone_pattern(asc, zi, zl)
-            for asc in (True, False) for zi in range(3) for zl in range(3) if zi != zl}
+_P3, _P4 = all_patterns(3), all_patterns(4)
 
 
-# (first point below last, first above) for the two patterns of each shared zone
-_AMBIGUOUS = {(asc, z): (_zone_pattern(asc, z, z, 0.1), _zone_pattern(asc, z, z, -0.1))
-              for asc in (True, False) for z in range(3)}
-
-
-# the nonzero occ(sigma, pi), pi in S_4, per sigma in S_3.  Each occurrence of
-# sigma in tau lies in n - 3 four-point sets, so
+# occ(sigma, pi), sigma in S_3 (rows) and pi in S_4 (columns).  Each
+# occurrence of sigma in tau lies in n - 3 four-point sets, so
 # sum_pi occ(sigma, pi) N4(pi) = (n - 3) N3(sigma).
-_OCC3_IN4 = {sigma: tuple((pi, c) for pi in all_patterns(4)
-                          if (c := profile_naive(pi, 3)[sigma]))
-             for sigma in all_patterns(3)}
+_OCC3_IN4 = np.array([list(profile_naive(pi, 3).values()) for pi in _P4]).T
 
 
-def _relation_gaps(table4: Dict[Pattern, int], table3: Dict[Pattern, int],
-                   n: int) -> Dict[Pattern, int]:
-    """(n - 3) N3(sigma) - sum_pi occ(sigma, pi) N4(pi), per sigma in S_3."""
-    return {sigma: (n - 3) * table3[sigma] - sum(c * table4[pi] for pi, c in terms)
-            for sigma, terms in _OCC3_IN4.items()}
+def _relation_gaps(four: Sequence[int], three: Sequence[int], n: int) -> np.ndarray:
+    """(n - 3) N3(sigma) - sum_pi occ(sigma, pi) N4(pi), per sigma in S_3, from
+    the counts N4 and N3 in all_patterns order."""
+    return (n - 3) * np.asarray(three) - _OCC3_IN4 @ np.asarray(four)
+
+
+def _sweep4(v: np.ndarray, quads: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The O(n^2) part of _profile4: the ascending two-node trees
+    T[f, g] = sum over j < k, v_j < v_k of quads[f, j] quads[g, k], and
+    sum_{j < k} Q R.
+
+    The sweep takes B = _SWEEP_CELLS // n consecutive middle positions j at
+    a time (at least one, at most n - 1) and every k > j0 as one (B, m)
+    block of asc = [k > j][v_j < v_k], m = n - 1 - j0, so the interpreter
+    cost is paid per block.  Per block:
+    - G = F_J^T asc with F = (1, quads), and T += G F_K: two matrix
+      products (BLAS).  G's row for F = 1 holds the column sums of asc,
+      which carry Q into the next block, q_run[k] = #{i < j0 : v_i < v_k},
+      and give the column sums of R below by one 1-D cumsum;
+    - R = (k - j)_+ - (cumsum of asc along k), the one pass along the long
+      axis.  As Q[j, k] = q_run[k] + sum_{i < j} asc[i, k] over the block,
+      sum Q R = q_run . (column sums of R) plus the strict upper triangle
+      of asc R^T (BLAS).
+    Every factor is an integer count of at most n, and every block sum adds
+    nonnegative products, at most B m n^2 <= max(_SWEEP_CELLS, n) n^2 <
+    2^42 for n <= PROFILE4_MAX_N, so each is exact in float64.  They
+    accumulate in int64 (T) and Python ints (Q R).
+    """
+    n = len(v)
+    F = np.ones((n, 5))
+    F[:, 1:] = quads.T
+    rows = max(1, min(_SWEEP_CELLS // n, n - 1))
+    span = np.maximum(np.arange(1, n) - np.arange(rows)[:, None], 0.0)  # (k - j)_+
+    span_sums = np.cumsum(span, axis=0)              # row b - 1: sum over a block of b
+    corner = span[:, :rows]                          # k - j in the block's first columns
+    upper, strict = corner > 0, corner > 1           # k > j; for asc R^T, i < j
+    trees = np.zeros((4, 4), dtype=np.int64)
+    qr = 0
+    q_run = np.zeros(n)
+    for j0 in range(0, n - 1, rows):
+        b, m = min(rows, n - 1 - j0), n - 1 - j0
+        asc = (v[j0 + 1:] > v[j0:j0 + b, None]).astype(float)
+        asc[:, :b] *= upper[:b, :b]
+        G = F[j0:j0 + b].T @ asc
+        trees += (G[1:] @ F[j0 + 1:, 1:]).astype(np.int64)
+        R = span[:b, :m] - np.cumsum(asc, axis=1)
+        qr += int(q_run[j0 + 1:] @ (span_sums[b - 1, :m] - np.cumsum(G[0])))
+        qr += int((asc @ R.T)[strict[:b, :b]].sum())
+        q_run[j0 + 1:] += G[0]
+    return trees, qr
 
 
 def _profile4(v: np.ndarray, c_self: np.ndarray, three: Dict[Pattern, int]) -> Dict[Pattern, int]:
     """O(n^2) 4-pattern table of v, n >= 4, from its left-smaller counts
     c_self and its 3-profile three.
 
-    One sweep classifies each quadruple (i < j < k < l) by the middle pair
-    (j, k): whether v_j < v_k, and the value zones of v_i and v_l relative to
-    (min, max) of the pair.  Twelve signatures determine the pattern
-    outright; the six with equal zones cover two patterns each.  The sweep
-    counts one pattern of four such pairs; the 3-profile gives 3124
-    (sigma = 213) and 1432 (sigma = 132) through the _OCC3_IN4 relations,
-    and all six relations are checked at the end.
-    Partners follow by subtraction.
+    Each of the 24 sums (_STARS, _ASC_TREES, _DESC_TREES and Q R) is an
+    integer combination of the 4-counts N4 and the 3-counts, and their
+    coefficients over S_4 are independent, so det * N4 = _SOLVE (sums,
+    3-counts), divided exactly by det.  A star sum counts each quadruple
+    once per point whose quadrants hold the other three as its exponents
+    say; it needs only each point's quadrant counts, LB = c_self and LA,
+    RB, RA by subtraction, in O(n).  The 20 stars have rank 14 over S_4 and
+    hold the six 3-profile relations; the two-node corner trees of
+    Even-Zohar and Leng (arXiv:1911.01414) raise the rank to 23, and Q R,
+    in the dimension that Dudek and Gawrychowski (2020) tie to counting
+    4-cycles, to 24.  A descending tree is its unmasked prefix product
+    sum_{j < k} f(j) g(k), in O(n), less the ascending one; the ascending
+    trees and Q R come from one O(n^2) sweep (_sweep4).
 
-    The sweep takes B = _SWEEP_CELLS // n consecutive middle positions j at
-    a time (at least one) and every k > j as one (B, n - j0 - 1) table, so
-    the interpreter cost is paid per block, not per position.  Per entry it
-    needs Q = #{i < j : v_i < v_k}, from a running row plus a cumulative sum
-    down the block, and R = #{j < p <= k : v_p < v_j}, a cumulative sum
-    along it.  Each block's sums are two float64 matrix products (BLAS):
-    every factor is an integer count of at most n and a block holds at most
-    max(_SWEEP_CELLS, n) = 2^14 entries for n <= 10^4, so a block's partial
-    sums stay below 2^14 * n^2 < 2^41 < 2^53 and are exact.  They
-    accumulate in int64, where the totals are quadruple counts below n^4.
+    Exactness: the stars and prefix products are int64 sums of nonnegative
+    terms below n^4 < 2^63.  Each sum is at most 3 C(n, 4) + 2 C(n, 3) (its
+    coefficients are at most 3 over S_4 and 2 over S_3), and each row of
+    _SOLVE has absolute sum at most 92, so the solve stays below 2^57 for
+    n <= PROFILE4_MAX_N.  A remainder, or a table that breaks one of the
+    six relations sum_pi occ(sigma, pi) N4(pi) = (n - 3) N3(sigma), raises
+    RuntimeError.
     """
     n = len(v)
-    table: Dict[Pattern, int] = {p: 0 for p in all_patterns(4)}
-    cols = (np.arange(n, dtype=float), v.astype(float), c_self.astype(float))
-
-    # acc[asc][a, b]: left zone a times right zone b (0..2), then two
-    # disambiguator factors; a zone is (below, between, above) the middle pair
-    acc = {True: np.zeros((3, 5), dtype=np.int64),
-           False: np.zeros((3, 5), dtype=np.int64)}
-    q_run = np.zeros(n)                   # q_run[k] = #{i < j0 : v_i < v_k}
-    rows = max(1, _SWEEP_CELLS // n)
-    for j0 in range(0, n - 1, rows):
-        j, vj, cj = (x[j0:j0 + rows, None] for x in cols)
-        k, vk, ck = (x[j0 + 1:] for x in cols)
-        asc = vk > vj
-        pair = k > j
-        Q = np.cumsum(asc, axis=0, dtype=float)
-        Q -= asc
-        Q += q_run[j0 + 1:]
-        q_run[j0 + 1:] = Q[-1] + asc[-1]
-        R = np.cumsum(pair > asc, axis=1, dtype=float)
-        P = cj + R                        # p <= k with v_p < v_j
-        left = np.empty((3,) + Q.shape)
-        right = np.empty((5,) + Q.shape)
-
-        # v_j < v_k.  The last two factors read the column as the last
-        # point l and j as the second: 2143 (k above l), 3214 (k below j)
-        left[0], left[1], left[2] = cj, Q - cj, j - Q
-        left *= asc & pair
-        right[0], right[1], right[2] = vj - 1 - P, vk - ck - vj + P, n - vk - k + ck
-        right[3], right[4] = k - ck - j + Q, R
-        acc[True] += (left.reshape(3, -1) @ right.reshape(5, -1).T).astype(np.int64)
-
-        # v_j > v_k; as above, 1342 (i below l, k above j), 3412 (k below l)
-        left[0], left[1], left[2] = Q, cj - Q, j - cj
-        left *= pair > asc
-        right[0], right[1], right[2] = vk - 1 - ck, vj - cj - vk + ck - R, n - vj - k + P
-        right[3], right[4] = k - j - R, ck - Q
-        acc[False] += (left.reshape(3, -1) @ right.reshape(5, -1).T).astype(np.int64)
-
-    for (flag, zi, zl), pat in _SIG_MAP.items():
-        table[pat] = int(acc[flag][zi, zl])
-
-    # ambiguous classes: one pattern counted, its partner by subtraction
-    def split(flag: bool, z: int, pat: Pattern, count: int) -> None:
-        for p in _AMBIGUOUS[flag, z]:
-            table[p] = count if p == pat else int(acc[flag][z, z]) - count
-
-    split(True, 0, (1, 3, 4, 2), int(acc[False][0, 3]))
-    split(True, 1, (2, 1, 4, 3), int(acc[True][1, 3]))
-    split(False, 1, (3, 4, 1, 2), int(acc[False][1, 4]))
-    split(False, 2, (3, 2, 1, 4), int(acc[True][1, 4]))
-
-    # the last two from the 3-profile: with 3124 = 1432 = 0 placed, the 213
-    # gap is (occ(213, 3124) - occ(213, 4123)) N4(3124) = 2 N4(3124), as 1432
-    # and 2431 hold equally many 213s; likewise the 132 gap is 2 N4(1432)
-    split(True, 2, (3, 1, 2, 4), 0)
-    split(False, 0, (1, 4, 3, 2), 0)
-    gap = _relation_gaps(table, three, n)
-    split(True, 2, (3, 1, 2, 4), gap[2, 1, 3] // 2)
-    split(False, 0, (1, 4, 3, 2), gap[1, 3, 2] // 2)
-
-    if any(_relation_gaps(table, three, n).values()):
+    j = np.arange(n, dtype=np.int64)
+    rb = v - 1 - c_self
+    quads = np.stack((c_self, j - c_self, rb, n - 1 - j - rb))      # LB, LA, RB, RA
+    binom = np.empty((4,) + quads.shape, dtype=np.int64)            # C(quads, 0..3)
+    binom[0] = 1
+    binom[1] = quads
+    binom[2] = quads * (quads - 1) // 2
+    binom[3] = binom[2] * (quads - 2) // 3
+    trees, qr = _sweep4(v, quads)
+    f, g = _DESC_TREES.T
+    unmasked = (np.cumsum(quads[f, :-1], axis=1) * quads[g, 1:]).sum(axis=1)
+    counts3 = [three[sigma] for sigma in _P3]
+    sums = np.concatenate((binom[_STARS, range(4)].prod(axis=1).sum(axis=1),
+                           trees[_ASC_TREES[:, 0], _ASC_TREES[:, 1]],
+                           unmasked - trees[f, g], (qr,), counts3))
+    four, rest = np.divmod(_SOLVE @ sums, _SOLVE_DET)
+    if rest.any() or _relation_gaps(four, counts3, n).any():
         raise RuntimeError("4-profile breaks the 3-profile relations")
-    return table
+    return dict(zip(_P4, four.tolist()))
 
 
 _CHUNK = 1 << 19

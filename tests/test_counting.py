@@ -1,7 +1,10 @@
+import functools
 import itertools
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,10 +70,10 @@ def test_left_smaller_counts_ties_are_not_counted():
 @pytest.mark.parametrize("w", range(1, 18))
 def test_block_counts_match_double_loop_at_every_width(w):
     # the search scores order-9 rows with it, and order 17 needs width 17.
-    # Up to _SWEEP_CELLS // w^2 rows take one broadcast comparison, one row
-    # more takes the pairwise column comparisons
+    # Up to _BROADCAST_CELLS // w^2 rows take one broadcast comparison, one
+    # row more takes the pairwise column comparisons
     rng = np.random.default_rng(w)
-    broadcast_rows = counting._SWEEP_CELLS // (w * w)
+    broadcast_rows = counting._BROADCAST_CELLS // (w * w)
     for m in (broadcast_rows, broadcast_rows + 1):
         rows = np.concatenate([rng.permuted(np.tile(np.arange(w), (m - m // 2, 1)), axis=1),
                                rng.integers(-2, 3, (m // 2, w))])  # ties not counted
@@ -104,6 +107,28 @@ def test_left_smaller_counts_takes_values_near_2_to_the_62():
     near = [2**62 - 1, 2**62, -2**62, -2**62 + 1, 2**63 - 1, -2**63, 0]
     values = [near[i] for i in np.random.default_rng(8).integers(0, len(near), 500)]
     assert left_smaller_counts(values).tolist() == _left_smaller_loop(values)
+
+
+def test_left_smaller_counts_ranks_only_what_is_not_a_permutation(monkeypatch):
+    # a permutation of 1..n, as any integer array or sequence, is its own
+    # ranks and skips the ranking; ties, 0-based values, negatives, values
+    # past n and int64 extremes are ranked.  Every one against the loop
+    ranked = []
+    real = counting._ranks
+    monkeypatch.setattr(counting, "_ranks", lambda a: ranked.append(len(a)) or real(a))
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 17, 300):
+        perm = rng.permutation(n) + 1
+        for tau in (perm, perm.astype(np.int32), tuple(perm.tolist()), perm.tolist()):
+            assert left_smaller_counts(tau).tolist() == _left_smaller_loop(perm.tolist())
+    assert ranked == []
+    perm = rng.permutation(300) + 1
+    others = [perm - 1, np.where(perm == 7, 8, perm), perm - 150, perm + 1,
+              np.where(perm == 1, 2**63 - 1, perm), np.where(perm == 2, -2**63, perm),
+              [2**63 - 1, -2**63, 0, 2**63 - 1, 1]]
+    for values in others:
+        assert left_smaller_counts(values).tolist() == _left_smaller_loop(list(values))
+    assert ranked == [len(values) for values in others]
 
 
 def test_left_smaller_counts_memory_is_linear():
@@ -378,28 +403,181 @@ def test_four_profile_fixes_the_three_profile():
     rng = np.random.default_rng(23)
     for n in range(4, 12):
         tau = tuple(int(v) + 1 for v in rng.permutation(n))
-        gaps = counting._relation_gaps(profile_naive(tau, 4), profile_naive(tau, 3), n)
-        assert set(gaps.values()) == {0}, tau
+        gaps = counting._relation_gaps(list(profile_naive(tau, 4).values()),
+                                       list(profile_naive(tau, 3).values()), n)
+        assert gaps.tolist() == [0] * 6, tau
 
 
-def test_only_two_ambiguous_splits_follow_from_the_three_profile():
-    # each class's lo - hi difference of occ(sigma, .) over S_3; the six
-    # vectors span a rank-2 space, so at most two splits can be derived
-    occ = {(s, pi): c for s, terms in counting._OCC3_IN4.items() for pi, c in terms}
-    assert occ == {(s, pi): c for pi in all_patterns(4)
-                   for s, c in profile_naive(pi, 3).items() if c}
-    diff = {}
-    for flag in (True, False):
-        for z in range(3):
-            lo, hi = counting._AMBIGUOUS[flag, z]
-            diff[flag, z] = np.array([occ.get((s, lo), 0) - occ.get((s, hi), 0)
-                                      for s in all_patterns(3)])
-    assert np.linalg.matrix_rank(np.array(list(diff.values()))) == 2
-    # (asc, high) from sigma = 213, (desc, low) from sigma = 132: the relation
-    # reads 2 N4(lo) of its own split and nothing of the other one
-    s213, s132 = all_patterns(3).index((2, 1, 3)), all_patterns(3).index((1, 3, 2))
-    assert (diff[True, 2][s213], diff[False, 0][s213]) == (2, 0)
-    assert (diff[False, 0][s132], diff[True, 2][s132]) == (2, 0)
+def _quadrants(tau, j):
+    """(LB, LA, RB, RA) of position j: the points left/right of it and
+    below/above it."""
+    left = sum(tau[i] < tau[j] for i in range(j))
+    right = sum(tau[i] < tau[j] for i in range(j + 1, len(tau)))
+    return left, j - left, right, len(tau) - 1 - j - right
+
+
+def _star_sum(m, tau):
+    return sum(math.prod(math.comb(q, e) for q, e in zip(_quadrants(tau, j), m))
+               for j in range(len(tau)))
+
+
+def _tree_sum(asc, f, g, tau):
+    quads = [_quadrants(tau, j) for j in range(len(tau))]
+    return sum(quads[j][f] * quads[k][g]
+               for j, k in itertools.combinations(range(len(tau)), 2)
+               if (tau[j] < tau[k]) == asc)
+
+
+def _qr_sum(tau):
+    return sum(sum(tau[i] < tau[k] for i in range(j))
+               * sum(tau[p] < tau[j] for p in range(j + 1, k + 1))
+               for j, k in itertools.combinations(range(len(tau)), 2))
+
+
+def _shipped_sums():
+    """The 24 sums of the 4-profile engine, in the column order of _SOLVE."""
+    return ([functools.partial(_star_sum, m) for m in counting._STARS.tolist()]
+            + [functools.partial(_tree_sum, True, f, g) for f, g in counting._ASC_TREES.tolist()]
+            + [functools.partial(_tree_sum, False, f, g)
+               for f, g in counting._DESC_TREES.tolist()]
+            + [_qr_sum])
+
+
+def _coefficients(sum_of):
+    """c[sigma] for every pattern of length <= 4, such that sum_of(tau) =
+    sum over sigma of c[sigma] occ(sigma, tau) on every host: Moebius
+    inversion of the sum's values on the patterns themselves."""
+    c = {}
+    for r in range(1, 5):
+        for pi in all_patterns(r):
+            c[pi] = sum_of(pi) - sum(x * profile_naive(pi, len(s))[s]
+                                     for s, x in c.items() if len(s) < r)
+    return c
+
+
+def _rank_and_det(rows):
+    """Exact rank of an integer matrix, and its determinant if square."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank, det = 0, Fraction(1)
+    for col in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        det *= m[rank][col]
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                ratio = m[i][col] / m[rank][col]
+                m[i] = [x - ratio * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank, det
+
+
+def test_star_tree_and_qr_sums_have_ranks_14_23_24():
+    # over S_4: all twenty degree-3 stars, then all 32 two-node trees over
+    # quadrant pairs, then Q R
+    stars = [_coefficients(functools.partial(_star_sum, m))
+             for m in itertools.product(range(4), repeat=4) if sum(m) == 3]
+    trees = [_coefficients(functools.partial(_tree_sum, asc, f, g))
+             for asc in (True, False) for f in range(4) for g in range(4)]
+    qr = _coefficients(_qr_sum)
+    s4 = all_patterns(4)
+    ranks = [_rank_and_det([[c[pi] for pi in s4] for c in rows])[0]
+             for rows in (stars, stars + trees, stars + trees + [qr])]
+    assert (len(stars), len(trees), ranks) == (20, 32, [14, 23, 24])
+    # a star counts each quadruple once per point, with nothing of length < 4,
+    # and the stars span the six 3-profile relations occ(sigma, .)
+    assert all(not c[s] for c in stars for s in c if len(s) < 4)
+    star_rows = [[c[pi] for pi in s4] for c in stars]
+    assert _rank_and_det(star_rows + counting._OCC3_IN4.tolist())[0] == 14
+
+
+def test_solve_table_is_the_adjugate_of_the_derived_coefficients():
+    # adj A = det I over S_4, and the last six columns cancel each sum's
+    # 3-point part; no shipped sum has a part of length 1 or 2
+    coeffs = [_coefficients(s) for s in _shipped_sums()]
+    A = np.array([[c[pi] for pi in all_patterns(4)] for c in coeffs])
+    L = np.array([[c[s] for s in all_patterns(3)] for c in coeffs])
+    assert all(not c[s] for c in coeffs for s in c if len(s) <= 2)
+    solve, det = counting._SOLVE, counting._SOLVE_DET
+    assert solve.shape == (24, 30) and solve.dtype == np.int64
+    assert _rank_and_det(A.tolist()) == (24, det)
+    assert np.array_equal(solve[:, :24] @ A, det * np.eye(24, dtype=np.int64))
+    assert np.array_equal(solve[:, 24:], -solve[:, :24] @ L)
+
+
+def test_stars_are_the_first_fourteen_that_add_rank():
+    # in lexicographic order of their exponents
+    kept, rows = [], []
+    for m in itertools.product(range(4), repeat=4):
+        if sum(m) != 3:
+            continue
+        c = _coefficients(functools.partial(_star_sum, m))
+        row = [c[pi] for pi in all_patterns(4)]
+        if _rank_and_det(rows + [row])[0] > len(kept):
+            kept.append(m)
+            rows.append(row)
+    assert kept == [tuple(m) for m in counting._STARS.tolist()]
+    assert len(kept) == 14
+
+
+def test_solve_stays_in_int64_at_the_size_limit():
+    # each sum is at most max|A| C(n, 4) + max|L| C(n, 3) (nonnegative
+    # counts), so |_SOLVE @ sums| stays below 2^57 < 2^63 for
+    # n <= PROFILE4_MAX_N
+    coeffs = [_coefficients(s) for s in _shipped_sums()]
+    n = PROFILE4_MAX_N
+    worst = max(max(abs(c[pi]) for pi in all_patterns(4)) * math.comb(n, 4)
+                + max(abs(c[s]) for s in all_patterns(3)) * math.comb(n, 3)
+                for c in coeffs)
+    assert int(np.abs(counting._SOLVE).sum(axis=1).max()) * worst < 2**57
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_sweep_matches_the_defining_sums(rows, monkeypatch):
+    # the ascending trees over quadrant pairs and sum Q R, block by block
+    rng = np.random.default_rng(30 + rows)
+    for n in (2, 3, 5, 8, 13):
+        monkeypatch.setattr(counting, "_SWEEP_CELLS", rows * n)
+        v = rng.permutation(n) + 1
+        a = counting._left_smaller_perm(v)
+        j = np.arange(n)
+        quads = np.stack((a, j - a, v - 1 - a, n - 1 - j - (v - 1 - a)))
+        trees, qr = counting._sweep4(v, quads)
+        tau = v.tolist()
+        assert trees.tolist() == [[_tree_sum(True, f, g, tau) for g in range(4)]
+                                  for f in range(4)], (n, rows)
+        assert qr == _qr_sum(tau), (n, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(4, 16).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)), st.integers(1, n))))
+def test_profile4_matches_the_oracle_at_any_block_size(case):
+    tau, rows = case
+    with mock.patch.object(counting, "_SWEEP_CELLS", rows * len(tau)):
+        assert profile(tau, 4) == profile_naive(tau, 4)
+
+
+def _four_table(counts):
+    return {pi: counts.get(pi, 0) for pi in all_patterns(4)}
+
+
+def test_profile4_closed_forms_at_the_size_limit():
+    # the identity, the reversal and the two-block skew (m + 1..2m, 1..m)
+    # at n = PROFILE4_MAX_N, where the sweep's block sums and the int64
+    # solve are closest to their bounds
+    n = PROFILE4_MAX_N
+    m = n // 2
+    assert profile(range(1, n + 1), 4) == _four_table({(1, 2, 3, 4): math.comb(n, 4)})
+    assert profile(range(n, 0, -1), 4) == _four_table({(4, 3, 2, 1): math.comb(n, 4)})
+    skew = np.concatenate((np.arange(m + 1, 2 * m + 1), np.arange(1, m + 1)))
+    assert profile(skew, 4) == _four_table({
+        (1, 2, 3, 4): 2 * math.comb(m, 4), (2, 3, 4, 1): math.comb(m, 3) * m,
+        (3, 4, 1, 2): math.comb(m, 2) ** 2, (4, 1, 2, 3): m * math.comb(m, 3)})
 
 
 @pytest.mark.parametrize("sigma, shift",
