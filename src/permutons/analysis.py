@@ -55,8 +55,6 @@ from .measures import (
 )
 from .perms import DEFAULT_SEED, Perm, all_densities, mc_chunks, mean_ci99
 
-_ZERO = Fraction(0)
-
 EXACT_GRID_LIMIT = 300  # exact grid integrals; beyond it auto mode samples
 QUADRATURE_MAX_RESOLUTION = 4000  # r^2 midpoints held at once, ~55 B each
 
@@ -160,17 +158,14 @@ def _grid_cell_integrals(mu: GridPermuton) -> dict[str, Fraction]:
     if n > EXACT_GRID_LIMIT:
         raise AnalysisError(
             f"exact grid integrals support n <= {EXACT_GRID_LIMIT}")
-    cells = list(mu.cells.items())
-    D = math.lcm(*(m.denominator for _, m in cells))
+    D, ij, w, _ = mu._table
     # a <= D and b, c, d <= D/n (every row and column of M sums to D/n), so
     # every term and sum below stays under 100 D^2 (D + n^2); past int64
     # the same sweep runs on Python ints
     dtype = np.int64 if 100 * D * D * (D + n * n) < 2 ** 63 else object
-    p = np.array([i - 1 for (i, _), _ in cells])
-    q = np.array([j - 1 for (_, j), _ in cells])
+    p, q = (ij - 1).T
     M = np.zeros((n + 1, n + 1), dtype=dtype)
-    M[p + 1, q + 1] = np.array([m.numerator * (D // m.denominator) for _, m in cells],
-                               dtype=dtype)
+    M[p + 1, q + 1] = np.array(w, dtype=dtype)
     P = M.cumsum(0).cumsum(1)
     a = P[:-1, :-1].ravel()
     b = P[1:, :-1].ravel() - a
@@ -195,11 +190,14 @@ def _grid_l(mu: GridPermuton) -> Fraction:
 
     F = sum m_ij phi(nx - a) phi(ny - b) with 0-based a = i - 1, b = j - 1
     and phi = clamp(., 0, 1), so L = sum m_ij A(a) A(b), where
-    A(a) = int_0^1 phi(nx - a) x dx = (1 - (a + 1)^2/n^2)/2 + (a/2 + 1/3)/n^2.
+    A(a) = int_0^1 phi(nx - a) x dx = (1 - (a + 1)^2/n^2)/2 + (a/2 + 1/3)/n^2
+    = a_a / (6 n^2); with w_ij = D m_ij, L = sum w_ij a_a a_b / (36 D n^4).
     """
     n2 = mu.n * mu.n
-    A = [Fraction(3 * (n2 - (a + 1) ** 2) + 3 * a + 2, 6 * n2) for a in range(mu.n)]
-    return sum((m * A[i - 1] * A[j - 1] for (i, j), m in mu.cells.items()), _ZERO)
+    D, ij, w, _ = mu._table
+    A = [3 * (n2 - (a + 1) ** 2) + 3 * a + 2 for a in range(mu.n)]
+    total = sum(x * A[i - 1] * A[j - 1] for (i, j), x in zip(ij.tolist(), w))
+    return Fraction(total, 36 * D * n2 * n2)
 
 
 # ---------------------------------------------------------------------------

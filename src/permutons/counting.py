@@ -18,7 +18,7 @@ ascending trees and Q R come from one O(n^2) sweep in blocks of 2-D tables
 (|tau| <= 60), tallied by ``np.bincount`` of ``pattern_index``, the
 row-to-pattern index built from pairwise column comparisons (the Monte
 Carlo histogram reads the same index straight from its draws,
-``measures._draw_patterns``).
+``measures._pattern_rows``).
 ``profile_naive`` is the independent oracle used by the test suite; the fast
 paths must agree with it exactly.
 

@@ -5,7 +5,10 @@ Three concrete representations:
 * :class:`GridPermuton` -- mass on the cells of an n x n subdivision,
   exact Fraction masses.  ``from_perm`` builds the flat grid measure of a
   permutation (mass 1/n on each cell (i, tau(i))); ``uniform`` is the
-  Lebesgue measure (one cell).
+  Lebesgue measure (one cell).  Construction checks that every row and
+  column holds exactly 1/n, freezes ``cells`` and builds the one cell table
+  (D * mass in integers and float(mass), in sorted cell order) that every
+  grid engine reads.
 * :class:`SegmentPermuton` -- mass spread uniformly along line segments,
   weights proportional to length by default.  ``m_set(a)`` builds the
   eight-segment family used by the counterexample pipeline.
@@ -14,7 +17,7 @@ Three concrete representations:
 Coordinates and masses are Fractions internally so that cdf, moments and
 strip masses are exact; sampling and ``cdf_float`` work in floats.  The
 Monte Carlo pattern tallies read each k-point draw's pattern index from the
-pairwise comparisons of its coordinates (``_draw_patterns``), with no sort;
+pairwise comparisons of its coordinates (``_pattern_rows``), with no sort;
 only ``sample_patterns`` and ``density_mc`` past ``MC_MAX_K`` sort rows.
 """
 
@@ -26,13 +29,14 @@ from fractions import Fraction
 from itertools import (
     chain, combinations, combinations_with_replacement, permutations,
 )
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import counting
 from .discrepancy import box_spread
-from .perms import Perm, mc_chunks, mc_hits
+from .perms import Perm, binomial_ci99, mc_chunks, mc_hits
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -154,14 +158,28 @@ class Permuton:
         raise NotImplementedError
 
 
+class _CellTable(NamedTuple):
+    """A grid's cells in sorted key order, zero masses included: D is the lcm
+    of the mass denominators, ij the (i, j) keys as a cells x 2 int64 array,
+    w the integers D * mass and mass the floats float(mass)."""
+
+    D: int
+    ij: np.ndarray
+    w: tuple[int, ...]
+    mass: np.ndarray
+
+
 @dataclass(frozen=True)
 class GridPermuton(Permuton):
     """Mass on cells of an n x n grid.
 
-    ``cells`` maps (i, j), 1-indexed, to the cell's total mass; mass is
-    uniform within each cell.  Every row and column must sum to exactly 1/n.
-    ``_densities`` memoises the exact pattern-density tables of
-    :func:`grid_densities` by pattern length; it takes no part in ``==`` or
+    ``cells`` maps (i, j), 1-indexed, to the cell's total mass (an int, a
+    float's exact value or a Fraction, held as a Fraction); mass is uniform
+    within each cell.  Every row and column must sum to exactly 1/n, so both
+    marginals are Lebesgue's; ``cells`` is then a read-only view of a private
+    copy, so that check and the memos stay true.  ``_table`` holds the cells
+    as the engines read them and ``_densities`` memoises the exact tables of
+    :func:`grid_densities` by pattern length; neither takes part in ``==`` or
     ``repr``.
     """
 
@@ -169,12 +187,31 @@ class GridPermuton(Permuton):
     cells: Mapping[tuple[int, int], Fraction]
     _densities: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
+    _table: _CellTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
+        if not isinstance(n, int):
+            raise PermutonError(f"grid size must be an integer, got {n!r}")
         if n < 1:
             raise PermutonError("grid size must be >= 1")
-        D, rows, cols = self._lanes()
+        cells = {}
+        for key, mass in self.cells.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and isinstance(key[0], int) and isinstance(key[1], int)):
+                raise PermutonError(f"cell {key!r} is not a pair of integers")
+            if not (1 <= key[0] <= n and 1 <= key[1] <= n):
+                raise PermutonError(f"cell {key} outside 1..{n}")
+            cells[key] = m = _frac(mass)
+            if m < 0:
+                raise PermutonError(f"negative mass at cell {key}")
+        items = sorted(cells.items())
+        D = math.lcm(*(m.denominator for m in cells.values()))
+        w = tuple(m.numerator * (D // m.denominator) for _, m in items)
+        rows, cols = [0] * (n + 1), [0] * (n + 1)
+        for ((i, j), _), x in zip(items, w):
+            rows[i] += x
+            cols[j] += x
         for idx in range(1, n + 1):
             if rows[idx] * n != D:
                 raise PermutonError(f"row {idx} mass {Fraction(rows[idx], D)} "
@@ -182,6 +219,12 @@ class GridPermuton(Permuton):
             if cols[idx] * n != D:
                 raise PermutonError(f"column {idx} mass {Fraction(cols[idx], D)} "
                                     f"!= 1/{n} (non-uniform marginal)")
+        object.__setattr__(self, "cells", MappingProxyType(cells))
+        ij = np.fromiter(chain.from_iterable(c for c, _ in items), dtype=np.int64,
+                         count=2 * len(items)).reshape(-1, 2)
+        # x / D rounds the exact quotient once, so it equals float(mass)
+        object.__setattr__(self, "_table", _CellTable(
+            D, ij, w, np.array([x / D for x in w])))
 
     # ---- exact integration -------------------------------------------
 
@@ -200,43 +243,19 @@ class GridPermuton(Permuton):
             total += m * cx * cy
         return total
 
-    def _lanes(self) -> tuple[int, list[int], list[int]]:
-        """(D, rows, cols): D the lcm of the cell-mass denominators, rows[i]
-        and cols[i] D times the mass of row and column i, zero at 0 and n + 1."""
-        n = self.n
-        D = math.lcm(*(m.denominator for m in self.cells.values()))
-        rows, cols = [0] * (n + 2), [0] * (n + 2)
-        for (i, j), m in self.cells.items():
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise PermutonError(f"cell {(i, j)} outside 1..{n}")
-            if m < 0:
-                raise PermutonError(f"negative mass at cell {(i, j)}")
-            scaled = m.numerator * (D // m.denominator)
-            rows[i] += scaled
-            cols[j] += scaled
-        return D, rows, cols
-
     def _pieces(self, axis: str) -> list[tuple[Fraction, Fraction, Fraction]]:
-        # lane i spreads D^-1 lane[i] over [(i-1)/n, i/n]; the slope changes
-        # by n (lane[j+1] - lane[j]) / D at j/n
-        n = self.n
-        D, rows, cols = self._lanes()
-        lane = rows if axis == "x" else cols
-        return [(Fraction(j, n), Fraction(n * (lane[j + 1] - lane[j]), D), _ZERO)
-                for j in range(n + 1) if lane[j + 1] != lane[j]]
+        # every lane holds exactly 1/n: each marginal has density 1 on [0, 1]
+        return [(_ZERO, _ONE, _ZERO), (_ONE, -_ONE, _ZERO)]
 
     def moment(self, p: int, q: int) -> Fraction:
         # mass m_ij has density m_ij n^2 on its cell, where x^p integrates to
-        # A_i / ((p+1) n^(p+1)) with A_i = i^(p+1) - (i-1)^(p+1); with D the
-        # lcm of the mass denominators the moment is one integer sum
-        # sum (D m_ij) A_i B_j / (D (p+1)(q+1) n^(p+q))
-        n = self.n
-        D = math.lcm(*(m.denominator for m in self.cells.values()))
+        # A_i / ((p+1) n^(p+1)) with A_i = i^(p+1) - (i-1)^(p+1), so the
+        # moment is one integer sum sum w_ij A_i B_j / (D (p+1)(q+1) n^(p+q))
+        n, t = self.n, self._table
         A = [i ** (p + 1) - (i - 1) ** (p + 1) for i in range(n + 1)]
         B = A if q == p else [j ** (q + 1) - (j - 1) ** (q + 1) for j in range(n + 1)]
-        total = sum(m.numerator * (D // m.denominator) * A[i] * B[j]
-                    for (i, j), m in self.cells.items())
-        return Fraction(total, D * (p + 1) * (q + 1) * n ** (p + q))
+        total = sum(x * A[i] * B[j] for (i, j), x in zip(t.ij.tolist(), t.w))
+        return Fraction(total, t.D * (p + 1) * (q + 1) * n ** (p + q))
 
     # ---- float CDF ----------------------------------------------------
 
@@ -258,9 +277,8 @@ class GridPermuton(Permuton):
         u -= col  # offsets inside the cell
         v -= row
         order = np.argsort(col, kind="stable")
-        keys = sorted(self.cells)
-        ci, cj = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-        cm = np.array([float(self.cells[c]) for c in keys])
+        ci, cj = self._table.ij.T
+        cm = self._table.mass
         out = np.empty(len(u))
         step = max(1, _CDF_BLOCK // (n + 1) - 1)
         carry = np.zeros(n + 1)
@@ -287,38 +305,22 @@ class GridPermuton(Permuton):
 
     # ---- sampling -----------------------------------------------------
 
-    def _cell_table(self):
-        items = sorted(self.cells.items())
-        probs = np.array([float(m) for _, m in items])
-        probs = probs / probs.sum()
-        xs = np.array([i for (i, _), _ in items], dtype=np.int64)
-        ys = np.array([j for (_, j), _ in items], dtype=np.int64)
-        return np.cumsum(probs), xs, ys
-
     def sample_xy(self, rng: np.random.Generator, count: int):
-        cum, xs, ys = self._cell_table()
-        pick = _pick_cells(cum, rng.random(count))
-        u = rng.random(count)
-        w = rng.random(count)
-        x = (xs[pick] - 1 + u) / self.n
-        y = (ys[pick] - 1 + w) / self.n
-        return x, y
+        t = self._table
+        pick = _pick_cells(np.cumsum(t.mass / t.mass.sum()), rng.random(count))
+        u, w = rng.random(count), rng.random(count)
+        return (t.ij[pick, 0] - 1 + u) / self.n, (t.ij[pick, 1] - 1 + w) / self.n
 
     # ---- structure ----------------------------------------------------
 
     @property
     def permutation(self) -> Perm | None:
-        """The inducing permutation when this is a flat grid measure."""
-        n = self.n
-        if len(self.cells) != n:
+        """The inducing permutation when this is a flat grid measure: n
+        cells of mass 1/n, one per row since every row holds 1/n."""
+        t = self._table
+        if t.D != self.n or t.w != (1,) * self.n:
             return None
-        share = Fraction(1, n)
-        images = [0] * n
-        for (i, j), m in self.cells.items():
-            if m != share:
-                return None
-            images[i - 1] = j
-        return Perm(tuple(images))
+        return Perm(tuple(t.ij[:, 1].tolist()))
 
 
 def from_perm(tau) -> GridPermuton:
@@ -356,6 +358,8 @@ class SegmentPermuton(Permuton):
     """Mass distributed uniformly along line segments in the unit square."""
 
     segments: tuple[Segment, ...]
+    # rows x0, y0, dx, dy, mass as floats, one column per segment
+    _floats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -370,6 +374,9 @@ class SegmentPermuton(Permuton):
             total += s.mass
         if total != 1:
             raise PermutonError(f"segment masses sum to {total}, expected 1")
+        object.__setattr__(self, "_floats", np.ascontiguousarray(np.array(
+            [[float(s.x0), float(s.y0), float(s.x1 - s.x0), float(s.y1 - s.y0),
+              float(s.mass)] for s in self.segments]).T))
 
     def cdf(self, a, b) -> Fraction:
         a = _check_unit(_frac(a), "a")
@@ -408,35 +415,26 @@ class SegmentPermuton(Permuton):
         return total
 
     def sample_xy(self, rng: np.random.Generator, count: int):
-        probs = np.array([float(s.mass) for s in self.segments])
-        probs = probs / probs.sum()
-        cum = np.cumsum(probs)
-        pick = _pick_cells(cum, rng.random(count))
+        x0, y0, dx, dy, mass = self._floats
+        pick = _pick_cells(np.cumsum(mass / mass.sum()), rng.random(count))
         t = rng.random(count)
-        x0 = np.array([float(s.x0) for s in self.segments])
-        y0 = np.array([float(s.y0) for s in self.segments])
-        dx = np.array([float(s.x1 - s.x0) for s in self.segments])
-        dy = np.array([float(s.y1 - s.y0) for s in self.segments])
         return x0[pick] + t * dx[pick], y0[pick] + t * dy[pick]
 
     def cdf_float(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         out = np.zeros_like(xs)
-        for s in self.segments:
+        for x0, y0, dx, dy, mass in self._floats.T.tolist():
             lo = np.zeros_like(xs)
             hi = np.ones_like(xs)
-            for start, delta, bound in (
-                (float(s.x0), float(s.x1 - s.x0), xs),
-                (float(s.y0), float(s.y1 - s.y0), ys),
-            ):
+            for start, delta, bound in ((x0, dx, xs), (y0, dy, ys)):
                 if delta > 0:
                     hi = np.minimum(hi, (bound - start) / delta)
                 elif delta < 0:
                     lo = np.maximum(lo, (bound - start) / delta)
                 else:
                     hi = np.where(start > bound, -1.0, hi)
-            out += float(s.mass) * np.clip(hi - lo, 0.0, 1.0)
+            out += mass * np.clip(hi - lo, 0.0, 1.0)
         return out
 
 
@@ -527,6 +525,8 @@ class MixturePermuton(Permuton):
 
     components: tuple[Permuton, ...]
     weights: tuple[Fraction, ...]
+    # the weights as floats
+    _floats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.components) != len(self.weights) or not self.components:
@@ -537,6 +537,7 @@ class MixturePermuton(Permuton):
         if sum(ws, Fraction(0)) != 1:
             raise PermutonError("mixture weights must sum to exactly 1")
         object.__setattr__(self, "weights", tuple(ws))
+        object.__setattr__(self, "_floats", np.array([float(w) for w in ws]))
 
     def cdf(self, a, b) -> Fraction:
         return sum((w * c.cdf(a, b) for c, w in zip(self.components, self.weights)),
@@ -552,8 +553,7 @@ class MixturePermuton(Permuton):
                    Fraction(0))
 
     def sample_xy(self, rng: np.random.Generator, count: int):
-        cum = np.cumsum([float(w) for w in self.weights])
-        pick = _pick_cells(cum, rng.random(count))
+        pick = _pick_cells(np.cumsum(self._floats), rng.random(count))
         x = np.empty(count)
         y = np.empty(count)
         for ci, comp in enumerate(self.components):
@@ -564,8 +564,8 @@ class MixturePermuton(Permuton):
         return x, y
 
     def cdf_float(self, xs, ys) -> np.ndarray:
-        return sum(float(w) * c.cdf_float(xs, ys)
-                   for c, w in zip(self.components, self.weights))
+        return sum(w * c.cdf_float(xs, ys)
+                   for c, w in zip(self.components, self._floats.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -665,23 +665,14 @@ def _sample_rows(mu: Permuton, k: int, count: int,
     return _redraw_ties(mu, k, count, rng, _sorted_rows)
 
 
-def _draw_patterns(mu: Permuton, k: int, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Pattern indices of ``count`` iid k-point draws, k <= MC_MAX_K: the
-    same rows as ``counting.pattern_index(_sample_rows(...))`` on the same
-    stream, without a sort."""
-    return _redraw_ties(mu, k, count, rng, _pattern_rows)
-
-
 def density_mc(pi, mu: Permuton, samples: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo t(pi, mu) with 99% confidence half-width."""
     if not isinstance(pi, Perm):
         pi = Perm(tuple(pi))
     k = len(pi)
     if k <= MC_MAX_K:
-        want = counting.pattern_index(np.array([pi.images]))[0]
-        return mc_hits(lambda rng, m: _draw_patterns(mu, k, m, rng) == want,
-                       samples, seed)
+        hits = pattern_histogram_mc(mu, k, samples, seed)[pi.images]
+        return hits / samples, binomial_ci99(hits, samples)
     # past MC_MAX_K a row shows pi exactly when it sorts in pi's order: one
     # argsort, and no pattern index, which would overflow int64 past k = 20
     order = np.argsort(pi.images)
@@ -695,12 +686,15 @@ def pattern_histogram_mc(mu: Permuton, k: int, samples: int,
                          seed: int) -> dict[tuple[int, ...], int]:
     """Counts of each length-k pattern, 1 <= k <= MC_MAX_K = 6, over
     ``samples`` draws, keyed in ``counting.all_patterns(k)`` order; each
-    draw's pattern is read from pairwise comparisons, with no sort."""
+    draw's pattern index is read from pairwise comparisons
+    (``_pattern_rows``), with no sort: the same index as
+    ``counting.pattern_index(_sample_rows(...))`` on the same stream."""
     if not 1 <= k <= MC_MAX_K:
         raise PermutonError(f"pattern histograms support 1 <= k <= {MC_MAX_K}")
     counts = np.zeros(math.factorial(k), dtype=np.int64)
     for rng, m in mc_chunks(samples, seed):
-        counts += np.bincount(_draw_patterns(mu, k, m, rng), minlength=len(counts))
+        idx = _redraw_ties(mu, k, m, rng, _pattern_rows)
+        counts += np.bincount(idx, minlength=len(counts))
     return dict(zip(counting.all_patterns(k), counts.tolist()))
 
 
@@ -835,28 +829,28 @@ def _flat_densities(tau: tuple[int, ...], k: int) -> dict[tuple[int, ...], Fract
 def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fraction]:
     """Exact t(pi, mu) from one numpy pass over the cell multisets, refused
     beyond GRID_MULTISET_MAX multisets before any work.  Each multiset weighs
-    (k!/prod mult!) prod (D m_c) in Python ints, D the lcm of the mass
-    denominators.  Its tie shape (per axis, how many of its points lie
+    (k!/prod mult!) prod (D m_c) in Python ints, D and D m_c read from the
+    grid's ``_table``.  Its tie shape (per axis, how many of its points lie
     strictly before each point; at most 8 * 75 shapes at k = 4) fixes the law
     of its pattern: under the (k!)^2 global tie-break orders sigma, rho, with
     keys rank * k + sigma_p in x and rank * k + rho_p in y, every order inside
     a tie group is equally likely.  t(pi) = sum weight count(pi) / (D^k (k!)^2)."""
-    cells = [(c, m) for c, m in sorted(mu.cells.items()) if m > 0]
-    count = math.comb(len(cells) + k - 1, k)
+    denom, ij, w, _ = mu._table
+    pos = [c for c, x in enumerate(w) if x > 0]
+    count = math.comb(len(pos) + k - 1, k)
     if count > GRID_MULTISET_MAX:
         raise PermutonError(
             f"exact densities of this grid at k = {k} take {count} cell multisets, "
             f"over the limit GRID_MULTISET_MAX = {GRID_MULTISET_MAX}; use --mode mc")
     sets = np.fromiter(chain.from_iterable(combinations_with_replacement(
-        range(len(cells)), k)), dtype=np.int64, count=count * k).reshape(count, k)
+        range(len(pos)), k)), dtype=np.int64, count=count * k).reshape(count, k)
     run = mults = np.ones(count, dtype=np.int64)  # prod mult! along sorted rows
     for i in range(1, k):
         run = np.where(sets[:, i] == sets[:, i - 1], run + 1, 1)
         mults = mults * run
-    denom = math.lcm(*(m.denominator for _, m in cells))
-    mass = np.array([int(m * denom) for _, m in cells], dtype=object)
+    mass = np.array([w[c] for c in pos], dtype=object)
     weight = mass[sets].prod(axis=1) * (math.factorial(k) // mults)
-    pts = np.array([c for c, _ in cells], dtype=np.int64)[sets].transpose(0, 2, 1)
+    pts = ij[pos][sets].transpose(0, 2, 1)
     below = (pts[:, :, None, :] < pts[:, :, :, None]).sum(axis=3).reshape(count, 2 * k)
     shapes, inverse = np.unique(below, axis=0, return_inverse=True)
     orders = np.array(list(permutations(range(k))), dtype=np.int64)

@@ -27,6 +27,29 @@ INFLATABLE17 = FIXTURES / "inflatable17.permuton"
 
 
 # ---------------------------------------------------------------------------
+# frozen cells
+
+
+def test_grid_cells_are_frozen_and_memos_stay_true():
+    # moving 1/8 of mass from (1, 2) to (1, 1) would give t(12) = 17/32
+    fresh = from_perm(Perm((2, 4, 1, 3)))
+    given = {(i, tau): F(1, 4) for i, tau in enumerate((2, 4, 1, 3), start=1)}
+    mu = GridPermuton(4, given)
+    assert symmetry_defect(mu, 2).defect == 0
+    with pytest.raises(TypeError):
+        mu.cells[(1, 2)] = F(1, 8)
+    with pytest.raises(TypeError):
+        mu.cells[(1, 1)] = F(1, 8)
+    given[(1, 2)] = F(1, 8)  # the caller's dict is not the grid's
+    given[(1, 1)] = F(1, 8)
+    assert mu.cells == fresh.cells and mu == fresh
+    for k in range(1, 5):
+        assert grid_densities(mu, k) == grid_densities(fresh, k)
+    assert symmetry_defect(mu, 2) == symmetry_defect(fresh, 2)
+    assert lemma_integrals(mu) == lemma_integrals(fresh)
+
+
+# ---------------------------------------------------------------------------
 # oracle: the per-target cell-multiset loop
 
 
