@@ -207,27 +207,29 @@ def _grid_l(mu: GridPermuton) -> Fraction:
 _MC_CHUNK = 2_000_000  # points per draw; changing it changes seeded results
 
 
-def _mc_f_integrals(mu: Permuton, samples: int, seed: int):
-    """(i1, ci1), (i2, ci2) from one batch of mu-points."""
-    parts1, parts2 = [], []
-    for rng, m in mc_chunks(samples, seed, _MC_CHUNK):
-        x, y = mu.sample_xy(rng, m)
-        f = cdf_many(mu, x, y)
-        parts1.append(f * f)
-        parts2.append(f * x * y)
-    return mean_ci99(np.concatenate(parts1)), mean_ci99(np.concatenate(parts2))
+def _f2(f, x, y):
+    return f * f
 
 
-def _mc_lambda_integral(mu: Permuton, samples: int, seed: int,
-                        square: bool) -> tuple[float, float]:
-    """MC of int F^2 dlambda (square) or int F(x,y) x y dlambda."""
-    parts = []
+def _fxy(f, x, y):
+    return f * x * y
+
+
+def _lebesgue_xy(rng: np.random.Generator, m: int):
+    return rng.random(m), rng.random(m)
+
+
+def _mc_cdf_means(mu: Permuton, draw, integrands, samples: int,
+                  seed: int) -> list[tuple[float, float]]:
+    """(mean, ci99) of each g(F(x, y), x, y) over one batch of points
+    drawn by ``draw(rng, m)``: mu.sample_xy or _lebesgue_xy."""
+    parts = [[] for _ in integrands]
     for rng, m in mc_chunks(samples, seed, _MC_CHUNK):
-        x = rng.random(m)
-        y = rng.random(m)
+        x, y = draw(rng, m)
         f = cdf_many(mu, x, y)
-        parts.append(f * f if square else f * x * y)
-    return mean_ci99(np.concatenate(parts))
+        for part, g in zip(parts, integrands):
+            part.append(g(f, x, y))
+    return [mean_ci99(np.concatenate(part)) for part in parts]
 
 
 def _quad_f2_lambda(mu: Permuton, resolution: int) -> tuple[float, float]:
@@ -279,9 +281,10 @@ def lemma_integrals(mu: Permuton, budget: Budget | None = None) -> IntegralRepor
             f"quadrature resolution {budget.resolution} is over the limit "
             f"QUADRATURE_MAX_RESOLUTION = {QUADRATURE_MAX_RESOLUTION}")
     s1, s2 = _child_seeds(budget.seed, 2)
-    (i1, c1), (i2, c2) = _mc_f_integrals(mu, budget.samples, s1)
+    (i1, c1), (i2, c2) = _mc_cdf_means(mu, mu.sample_xy, (_f2, _fxy),
+                                       budget.samples, s1)
     if budget.mode == "mc":
-        i3, c3 = _mc_lambda_integral(mu, budget.samples, s2, square=True)
+        [(i3, c3)] = _mc_cdf_means(mu, _lebesgue_xy, (_f2,), budget.samples, s2)
         m3 = "mc"
     else:
         i3, c3 = _quad_f2_lambda(mu, budget.resolution)
@@ -320,8 +323,8 @@ def identity_check(mu: Permuton, budget: Budget | None = None) -> IdentityReport
     if exact:
         lhs = _grid_l(mu)
         return IdentityReport(lhs=lhs, rhs=rhs, error_radius=0.0, exact=True)
-    (lhs, ci) = _mc_lambda_integral(mu, budget.samples,
-                                    _child_seeds(budget.seed, 3)[2], square=False)
+    [(lhs, ci)] = _mc_cdf_means(mu, _lebesgue_xy, (_fxy,), budget.samples,
+                                _child_seeds(budget.seed, 3)[2])
     return IdentityReport(lhs=lhs, rhs=rhs, error_radius=ci, exact=False)
 
 

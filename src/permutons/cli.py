@@ -4,8 +4,9 @@ One subcommand per library operation; every run is seeded (default seed
 20130409) so identical argv produce byte-identical output.  Permutation
 arguments accept either a path to a text file in one-line notation or the
 notation inline ("3 1 2" / "3,1,2"); permuton arguments are description
-files (see permuton_io).  Exit codes: 0 success, 1 validation error,
-2 internal error.
+files (see permuton_io).  Each subcommand is declared once, by ``_command``
+beside its body.  Exit codes: 0 success, 1 validation error (also an
+unreadable input or --out path), 2 internal error.
 """
 
 from __future__ import annotations
@@ -52,16 +53,13 @@ def _read_perm(arg: str) -> Perm:
     return parse_perm(arg)
 
 
-def _read_permuton(arg: str):
-    return permuton_io.load_permuton(arg)
-
-
 def _emit(lines: list[str], out: str | None) -> None:
+    # the file first, so a failed write prints nothing
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> list[str]:
@@ -79,7 +77,7 @@ def _resolution(args) -> dict:
 
 def _budget(args) -> Budget:
     return Budget(samples=args.samples, seed=args.seed,
-                  mode=getattr(args, "mode", "auto") or "auto", **_resolution(args))
+                  mode=args.mode or "auto", **_resolution(args))
 
 
 def _seed(text: str) -> int:
@@ -90,98 +88,42 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+# the shared options in their --help order; every subcommand takes --out
+_FLAGS = {
+    "seed": {"type": _seed, "default": DEFAULT_SEED},
+    "samples": {"type": int, "default": 1_000_000},
+    "tol": {"type": float, "default": 1e-5},
+    "resolution": {"type": int, "default": None},
+    "out": {"default": None},
+    "format": {"choices": ("text", "csv"), "default": "text"},
+    "mode": {"choices": ("exact", "mc"), "default": None},
+}
+_INT = {"type": int}
+_COMMANDS: list[tuple] = []
+
+
+def _command(name: str, help_: str, *own, flags=()):
+    """Declare the decorated body as subcommand ``name``.  ``own`` holds its
+    arguments, each a name or (name, add_argument keywords), added after
+    the shared ``flags``."""
+    def register(run):
+        _COMMANDS.append((name, help_, own, flags, run))
+        return run
+    return register
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="permutons", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def add(name: str, help_: str, *, seed=False, samples=False, tol=False,
-            resolution=False, out=False, fmt=False, mode=False):
+    for name, help_, own, flags, run in _COMMANDS:
         sp = sub.add_parser(name, help=help_)
-        if seed:
-            sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-        if samples:
-            sp.add_argument("--samples", type=int, default=1_000_000)
-        if tol:
-            sp.add_argument("--tol", type=float, default=1e-5)
-        if resolution:
-            sp.add_argument("--resolution", type=int, default=None)
-        if out:
-            sp.add_argument("--out", default=None)
-        if fmt:
-            sp.add_argument("--format", choices=("text", "csv"), default="text")
-        if mode:
-            sp.add_argument("--mode", choices=("exact", "mc"), default=None)
-        return sp
-
-    sp = add("density", "pattern density t(pi, tau)",
-             seed=True, samples=True, out=True, mode=True)
-    sp.add_argument("pi")
-    sp.add_argument("tau")
-
-    sp = add("densities", "all length-k densities of tau and the P(k) defect",
-             out=True, fmt=True)
-    sp.add_argument("k", type=int)
-    sp.add_argument("tau")
-
-    sp = add("discrepancy", "interval discrepancy of a permutation",
-             resolution=True, out=True)
-    sp.add_argument("tau")
-    sp.add_argument("--method", choices=("exact", "prefix_bound", "grid"),
-                    default="exact")
-
-    sp = add("permuton-density", "t(pi, mu) for a permuton file",
-             seed=True, samples=True, out=True, mode=True)
-    sp.add_argument("pi")
-    sp.add_argument("permuton")
-
-    sp = add("sample", "sample k-point permutations from a permuton",
-             seed=True, out=True, fmt=True)
-    sp.add_argument("permuton")
-    sp.add_argument("k", type=int)
-    sp.add_argument("count", type=int)
-
-    sp = add("symmetry", "k-symmetry defect of a permuton",
-             seed=True, samples=True, out=True, fmt=True, mode=True)
-    sp.add_argument("permuton")
-    sp.add_argument("k", type=int)
-
-    sp = add("inflatable", "exact k-inflatability of a permutation", out=True)
-    sp.add_argument("tau")
-    sp.add_argument("k", type=int)
-
-    sp = add("search-inflatable", "exhaustive k-inflatable search over S_n",
-             out=True)
-    sp.add_argument("n", type=int)
-    sp.add_argument("k", type=int)
-
-    sp = add("integrals", "the three distinguishing integrals of a permuton",
-             seed=True, samples=True, resolution=True, out=True, mode=True)
-    sp.add_argument("permuton")
-
-    sp = add("chain", "double Cauchy-Schwarz chain quantities and slacks",
-             seed=True, samples=True, resolution=True, out=True, mode=True)
-    sp.add_argument("permuton")
-
-    sp = add("identity", "moment identity for int F(x,y) x y dlambda",
-             seed=True, samples=True, out=True, mode=True)
-    sp.add_argument("permuton")
-
-    add("find-b", "segment parameter b with t(id3, m_set(b)) = 1/6",
-        tol=True, out=True)
-
-    add("find-nu", "mixture weight a with t(id3, nu_a) = 1/6",
-        tol=True, out=True)
-
-    sp = add("converge", "sampled-permutation convergence table",
-             seed=True, out=True, fmt=True)
-    sp.add_argument("permuton")
-    sp.add_argument("k", type=int)
-    sp.add_argument("sizes", type=int, nargs="+")
-
-    sp = add("check-marginals", "strip-mass uniformity of a permuton file",
-             resolution=True, tol=True, out=True)
-    sp.add_argument("permuton")
-
+        for flag, kw in _FLAGS.items():
+            if flag == "out" or flag in flags:
+                sp.add_argument(f"--{flag}", **kw)
+        for arg in own:
+            arg, kw = (arg, {}) if isinstance(arg, str) else arg
+            sp.add_argument(arg, **kw)
+        sp.set_defaults(run=run, status=0)
     return p
 
 
@@ -189,6 +131,8 @@ def build_parser() -> _Parser:
 # subcommand bodies
 
 
+@_command("density", "pattern density t(pi, tau)", "pi", "tau",
+          flags=("seed", "samples", "mode"))
 def _run_density(args) -> list[str]:
     pi = _read_perm(args.pi)
     tau = _read_perm(args.tau)
@@ -200,6 +144,8 @@ def _run_density(args) -> list[str]:
     return [f"t = {_fmt(t)}"]
 
 
+@_command("densities", "all length-k densities of tau and the P(k) defect",
+          ("k", _INT), "tau", flags=("format",))
 def _run_densities(args) -> list[str]:
     tau = _read_perm(args.tau)
     rep = all_densities(args.k, tau)
@@ -214,6 +160,9 @@ def _run_densities(args) -> list[str]:
     return lines
 
 
+@_command("discrepancy", "interval discrepancy of a permutation", "tau",
+          ("--method", {"choices": ("exact", "prefix_bound", "grid"),
+                        "default": "exact"}), flags=("resolution",))
 def _run_discrepancy(args) -> list[str]:
     tau = _read_perm(args.tau)
     res = discrepancy(tau, mode=args.method, **_resolution(args))
@@ -225,9 +174,11 @@ def _run_discrepancy(args) -> list[str]:
     return lines
 
 
+@_command("permuton-density", "t(pi, mu) for a permuton file",
+          "pi", "permuton", flags=("seed", "samples", "mode"))
 def _run_permuton_density(args) -> list[str]:
     pi = _read_perm(args.pi)
-    mu = _read_permuton(args.permuton)
+    mu = permuton_io.load_permuton(args.permuton)
     mode = args.mode
     if mode is None:
         mode = "exact" if isinstance(mu, measures.GridPermuton) \
@@ -240,8 +191,10 @@ def _run_permuton_density(args) -> list[str]:
             f"samples = {args.samples}", f"seed = {args.seed}"]
 
 
+@_command("sample", "sample k-point permutations from a permuton",
+          "permuton", ("k", _INT), ("count", _INT), flags=("seed", "format"))
 def _run_sample(args) -> list[str]:
-    mu = _read_permuton(args.permuton)
+    mu = permuton_io.load_permuton(args.permuton)
     if args.count < 1:
         raise PermutonError("count must be >= 1")
     rng = np.random.Generator(np.random.PCG64(args.seed))
@@ -253,8 +206,10 @@ def _run_sample(args) -> list[str]:
     return lines
 
 
+@_command("symmetry", "k-symmetry defect of a permuton", "permuton",
+          ("k", _INT), flags=("seed", "samples", "format", "mode"))
 def _run_symmetry(args) -> list[str]:
-    mu = _read_permuton(args.permuton)
+    mu = permuton_io.load_permuton(args.permuton)
     verdict = symmetry.symmetry_defect(mu, args.k, mode=args.mode or "auto",
                                        samples=args.samples, seed=args.seed)
     if args.format == "csv":
@@ -272,6 +227,8 @@ def _run_symmetry(args) -> list[str]:
     return lines
 
 
+@_command("inflatable", "exact k-inflatability of a permutation",
+          "tau", ("k", _INT))
 def _run_inflatable(args) -> list[str]:
     tau = _read_perm(args.tau)
     ok, verdict = symmetry.is_inflatable(tau, args.k)
@@ -280,6 +237,8 @@ def _run_inflatable(args) -> list[str]:
             f"witness = {' '.join(map(str, verdict.witness))}"]
 
 
+@_command("search-inflatable", "exhaustive k-inflatable search over S_n",
+          ("n", _INT), ("k", _INT))
 def _run_search(args) -> list[str]:
     found = symmetry.search_inflatable(args.n, args.k)
     lines = [p.one_line() for p in found]
@@ -293,8 +252,10 @@ def _run_search(args) -> list[str]:
     return lines
 
 
+@_command("integrals", "the three distinguishing integrals of a permuton",
+          "permuton", flags=("seed", "samples", "resolution", "mode"))
 def _run_integrals(args) -> list[str]:
-    mu = _read_permuton(args.permuton)
+    mu = permuton_io.load_permuton(args.permuton)
     rep = analysis.lemma_integrals(mu, _budget(args))
     lines = []
     for name, val, meth, err in zip(("i1", "i2", "i3"),
@@ -304,8 +265,10 @@ def _run_integrals(args) -> list[str]:
     return lines
 
 
+@_command("chain", "double Cauchy-Schwarz chain quantities and slacks",
+          "permuton", flags=("seed", "samples", "resolution", "mode"))
 def _run_chain(args) -> list[str]:
-    mu = _read_permuton(args.permuton)
+    mu = permuton_io.load_permuton(args.permuton)
     rep = analysis.cs_chain(mu, _budget(args))
     names = ("q1 (i2^2)", "q2 (i1*m22)", "q3 (rewrite)", "q4 (marginal)",
              "q5 (cs2 rhs)", "q6 (1/81)")
@@ -317,8 +280,10 @@ def _run_chain(args) -> list[str]:
     return lines
 
 
+@_command("identity", "moment identity for int F(x,y) x y dlambda",
+          "permuton", flags=("seed", "samples", "mode"))
 def _run_identity(args) -> list[str]:
-    mu = _read_permuton(args.permuton)
+    mu = permuton_io.load_permuton(args.permuton)
     rep = analysis.identity_check(mu, _budget(args))
     return [f"lhs = {_fmt(rep.lhs)}", f"rhs = {_fmt(rep.rhs)}",
             f"slack = {rep.slack:.12g}",
@@ -326,6 +291,8 @@ def _run_identity(args) -> list[str]:
             f"pass = {rep.passed}"]
 
 
+@_command("find-b", "segment parameter b with t(id3, m_set(b)) = 1/6",
+          flags=("tol",))
 def _run_find_b(args) -> list[str]:
     r = analysis.find_b(args.tol)
     return [f"b = {_fmt(r.value)}",
@@ -333,6 +300,8 @@ def _run_find_b(args) -> list[str]:
             f"evaluations = {r.evaluations}"]
 
 
+@_command("find-nu", "mixture weight a with t(id3, nu_a) = 1/6",
+          flags=("tol",))
 def _run_find_nu(args) -> list[str]:
     r = analysis.find_nu(args.tol)
     return [f"a = {_fmt(r.value)}",
@@ -340,8 +309,11 @@ def _run_find_nu(args) -> list[str]:
             f"evaluations = {r.evaluations}"]
 
 
+@_command("converge", "sampled-permutation convergence table", "permuton",
+          ("k", _INT), ("sizes", {"type": int, "nargs": "+"}),
+          flags=("seed", "format"))
 def _run_converge(args) -> list[str]:
-    mu = _read_permuton(args.permuton)
+    mu = permuton_io.load_permuton(args.permuton)
     rows = analysis.convergence_experiment(mu, args.k, args.sizes,
                                            seed=args.seed)
     data = [[r.n, " ".join(map(str, r.pattern)), f"{r.density:.12g}",
@@ -353,6 +325,8 @@ def _run_converge(args) -> list[str]:
             f"discrepancy={d[3]} bound={d[4]}" for d in data]
 
 
+@_command("check-marginals", "strip-mass uniformity of a permuton file",
+          "permuton", flags=("resolution", "tol"))
 def _run_check_marginals(args) -> list[str]:
     with open(args.permuton) as fh:
         mu = permuton_io.parse_permuton(fh.read())
@@ -362,34 +336,8 @@ def _run_check_marginals(args) -> list[str]:
              f"max_deviation = {rep.max_deviation:.12g}",
              f"worst_strip = {rep.axis}[{rep.strip_index}]",
              f"pass = {rep.passed}"]
-    if not rep.passed:
-        raise _MarginalFailure(lines)
+    args.status = 0 if rep.passed else 1  # the report is printed either way
     return lines
-
-
-class _MarginalFailure(Exception):
-    def __init__(self, lines):
-        super().__init__("non-uniform marginals")
-        self.lines = lines
-
-
-_HANDLERS = {
-    "density": _run_density,
-    "densities": _run_densities,
-    "discrepancy": _run_discrepancy,
-    "permuton-density": _run_permuton_density,
-    "sample": _run_sample,
-    "symmetry": _run_symmetry,
-    "inflatable": _run_inflatable,
-    "search-inflatable": _run_search,
-    "integrals": _run_integrals,
-    "chain": _run_chain,
-    "identity": _run_identity,
-    "find-b": _run_find_b,
-    "find-nu": _run_find_nu,
-    "converge": _run_converge,
-    "check-marginals": _run_check_marginals,
-}
 
 
 def main(argv=None) -> int:
@@ -401,27 +349,18 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        lines = _HANDLERS[args.cmd](args)
-    except _MarginalFailure as exc:
-        _emit(exc.lines, getattr(args, "out", None))
-        return 1
-    except (PermError, PermutonError, _UsageError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        _emit(args.run(args), args.out)
     except BracketingError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 2
-    except AnalysisError as exc:
+    except (PermError, PermutonError, AnalysisError, OSError,
+            UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 2
-    _emit(lines, getattr(args, "out", None))
-    return 0
+    return args.status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -132,10 +132,7 @@ def _parse_block(lines: list[str], pos: int) -> tuple[Permuton, int]:
     if kind == "segments":
         return _parse_segments(body), end
     if kind == "mixture":
-        mu, used = _parse_mixture(body, base)
-        if used != len(body):
-            raise PermutonError("unparsed mixture content")
-        return mu, end
+        return _parse_mixture(body, base), end
     raise PermutonError(f"unknown permuton type {kind!r}")
 
 
@@ -191,7 +188,7 @@ def _parse_segments(body: list[str]) -> Permuton:
     return segments_from_endpoints(eps)
 
 
-def _parse_mixture(body: list[str], base: int) -> tuple[Permuton, int]:
+def _parse_mixture(body: list[str], base: int) -> MixturePermuton:
     # body holds everything indented past the mixture's type line
     comps: list[Permuton] = []
     weights: list[Fraction] = []
@@ -218,8 +215,7 @@ def _parse_mixture(body: list[str], base: int) -> tuple[Permuton, int]:
         comps.append(mu)
     if not comps:
         raise PermutonError("mixture has no components")
-    consumed = len(body)
-    return MixturePermuton(tuple(comps), tuple(weights)), consumed
+    return MixturePermuton(tuple(comps), tuple(weights))
 
 
 def load_permuton(path) -> Permuton:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from permutons import (
     AnalysisError, BracketingError, Budget, Perm, cs_chain, density_mc,
     find_b, find_nu, from_perm, identity_check, lemma_integrals, m_set,
-    nu_mixture, prefix_bound_check, t_id3_segment, uniform,
-    convergence_experiment, PermError, PermutonError,
+    nu_mixture, prefix_bound_check, segments_from_endpoints, t_id3_segment,
+    uniform, convergence_experiment, PermError, PermutonError,
 )
 from permutons import analysis
 from permutons.analysis import RootResult, _bracket_and_bisect
@@ -307,8 +307,8 @@ def test_convergence_experiment_refuses_counting_sizes_before_sampling(
 def test_quadrature_resolution_is_refused_before_any_sampling(monkeypatch):
     limit = analysis.QUADRATURE_MAX_RESOLUTION
     calls = []
-    monkeypatch.setattr(analysis, "_mc_f_integrals",
-                        lambda *a: calls.append("mc") or ((0.0, 0.0), (0.0, 0.0)))
+    monkeypatch.setattr(analysis, "_mc_cdf_means",
+                        lambda mu, draw, gs, *a: calls.append("mc") or [(0.0, 0.0)] * len(gs))
     monkeypatch.setattr(analysis, "_quad_f2_lambda",
                         lambda mu, r: calls.append(r) or (0.0, 0.0))
     window = m_set(F(1, 2))
@@ -334,3 +334,25 @@ def test_prefix_bound_check_fixtures():
         rep = prefix_bound_check(mu)
         assert rep.passed
         assert rep.d_lower <= 4 * rep.sup_dev + 1e-9
+
+
+def test_convergence_beyond_the_exact_limit_reads_the_grid_discrepancy(monkeypatch):
+    # the diagonal's every sample is the identity, whose discrepancy at odd
+    # n = 2m + 1 is m (m + 1) / n^2, a quarter of its prefix bound
+    n = analysis.EXACT_DISCREPANCY_LIMIT + 1
+    modes = []
+    real = analysis.discrepancy
+
+    def spy(tau, mode, **kw):
+        modes.append(mode)
+        return real(tau, mode=mode, **kw)
+
+    monkeypatch.setattr(analysis, "discrepancy", spy)
+    rows = convergence_experiment(segments_from_endpoints([(0, 0, 1, 1)]), 2, [n])
+    assert modes == ["grid", "prefix_bound"]
+    m = n // 2
+    assert [(r.pattern, r.density) for r in rows] == [(Perm((1, 2)), 1.0),
+                                                      (Perm((2, 1)), 0.0)]
+    for r in rows:
+        assert r.discrepancy == m * (m + 1) / n ** 2
+        assert r.bound == pytest.approx(4 * m * (m + 1) / n ** 2, rel=1e-12)

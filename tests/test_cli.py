@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import pytest
@@ -155,7 +156,7 @@ def test_quadrature_resolution_past_the_limit_is_refused(
     def refuse(*_):
         raise AssertionError("integrated before the resolution check")
     # a missed refusal ends in an internal error, not in r^2 midpoints
-    monkeypatch.setattr(analysis, "_mc_f_integrals", refuse)
+    monkeypatch.setattr(analysis, "_mc_cdf_means", refuse)
     monkeypatch.setattr(analysis, "_quad_f2_lambda", refuse)
     out = tmp_path / "out.txt"
     for cmd in ("integrals", "chain"):
@@ -194,6 +195,34 @@ def test_converge_csv(capsys, grid_file):
     lines = out.strip().splitlines()
     assert lines[0] == "n,pattern,density,discrepancy,bound"
     assert len(lines) == 5  # two sizes x two patterns
+
+
+def test_converge_text_rows_carry_the_csv_fields(capsys, grid_file):
+    argv = ("converge", grid_file, "2", "20", "40")
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    _, table, _ = run(capsys, *argv, "--format", "csv")
+    want = [f"n={n} pattern=({p}) density={d} discrepancy={q} bound={b}"
+            for n, p, d, q, b in csv.reader(table.splitlines()[1:])]
+    assert text.splitlines() == want
+
+
+def test_sample_csv_holds_the_text_rows(capsys, mset_file):
+    argv = ("sample", mset_file, "4", "5", "--seed", "7")
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, table, _ = run(capsys, *argv, "--format", "csv")
+    rows = list(csv.reader(table.splitlines()))
+    assert code == 0 and rows[0] == ["permutation"]
+    assert [r[0].replace(",", " ") for r in rows[1:]] == text.splitlines()
+
+
+def test_permutation_arguments_read_from_files(capsys, tmp_path):
+    pi, tau = tmp_path / "pi.txt", tmp_path / "tau.txt"
+    pi.write_text("1 2\n")
+    tau.write_text("1,3,2\n")
+    assert run(capsys, "density", str(pi), str(tau)) == \
+        run(capsys, "density", "1 2", "1 3 2") == (0, "t = 2/3 (0.666666666667)\n", "")
 
 
 def test_check_marginals_pass_fail(capsys, tmp_path, grid_file):
@@ -238,14 +267,27 @@ def test_missing_file(capsys):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch, grid_file):
-    from permutons import cli as cli_mod
-
-    def boom(args):
+    def boom(*_):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setitem(cli_mod._HANDLERS, "integrals", boom)
+    monkeypatch.setattr(analysis, "lemma_integrals", boom)
     code, _, err = run(capsys, "integrals", grid_file)
     assert code == 2 and "internal error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrals", "{dir}"),
+    ("integrals", "{latin1}"),
+    ("density", "1", "{dir}"),
+    ("find-b", "--out", "{dir}/missing/x.txt"),
+])
+def test_unreadable_inputs_and_outputs_are_validation_errors(capsys, tmp_path, argv):
+    latin1 = tmp_path / "latin1.permuton"
+    latin1.write_bytes(b"\xff\xfetype m_set\na 1/2\n")
+    code, out, err = run(capsys, *(a.format(dir=tmp_path, latin1=latin1)
+                                   for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -381,6 +381,13 @@ def test_occurrences_matches_naive():
         assert occurrences(pat, tau) == occurrences_naive(pat, tau)
 
 
+def test_occurrences_refuses_non_patterns_and_longer_patterns():
+    with pytest.raises(ValueError, match="not a pattern"):
+        occurrences((1, 3), (2, 1, 3))
+    with pytest.raises(ValueError, match="pattern longer than host"):
+        occurrences((1, 2, 3), (2, 1))
+
+
 def test_three_counts_matches_oracle_on_batches():
     # 1-based and 0-based rows, a from a direct double loop
     rng = np.random.default_rng(17)

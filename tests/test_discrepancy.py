@@ -148,3 +148,10 @@ def test_discrepancy_refuses_non_permutations(tau, mode):
     # prefix_bound; [0, 1, 2] read 4/9
     with pytest.raises(PermError, match=r"not a permutation of 1\.\."):
         discrepancy(tau, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "prefix_bound", "grid"])
+def test_one_point_has_no_discrepancy(mode):
+    res = discrepancy(Perm((1,)), mode=mode)
+    assert discrepancy_brute(Perm((1,))).numerator == res.numerator == 0
+    assert (res.value, res.lower, res.upper, res.mode, res.n) == (0.0, 0.0, 0.0, mode, 1)

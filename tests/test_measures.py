@@ -697,3 +697,18 @@ def test_m_set_discrepancy_sandwich():
     res = discrepancy_permuton(m_set(F(0)), 128)
     assert res.lower == pytest.approx(0.25, abs=1e-12)
     assert res.lower <= 4 * res.sup_dev + 1e-9
+
+
+@pytest.mark.parametrize("ends", [
+    [(0, Fraction(1, 2), 1, Fraction(1, 2))],                        # horizontal
+    [(Fraction(1, 4), 0, Fraction(1, 4), 1)],                        # vertical
+    [(0, Fraction(3, 4), 1, Fraction(3, 4)), (Fraction(1, 2), 0, Fraction(1, 2), 1)],
+])
+def test_segment_cdf_float_on_axis_parallel_segments_is_the_exact_cdf(ends):
+    mu = segments_from_endpoints(ends)
+    ticks = [Fraction(i, 8) for i in range(9)]
+    xs, ys = np.meshgrid([float(t) for t in ticks], [float(t) for t in ticks],
+                         indexing="ij")
+    got = mu.cdf_float(xs, ys)
+    want = [[float(mu.cdf(a, b)) for b in ticks] for a in ticks]
+    assert got.tolist() == want

@@ -111,3 +111,19 @@ def test_load_roundtrip_fixture(tmp_path):
     p.write_text("type perm\nperm 2 1\n")
     mu = load_permuton(p)
     assert mu.permutation == Perm((2, 1))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("type m_set\na 0\ntype m_set\na 1\n", "trailing content"),
+    ("type m_set\na 0\na 1\n", "duplicate field 'a'"),
+    ("type m_set\n", "missing field"),
+    ("type grid\nn 2\nmass 1/2 0\n", "grid expects 2 mass rows, got 1"),
+    ("type grid\nn 1\nmass 1 0\n", "row 1: expected 'mass' and 1 entries"),
+    ("type grid\nn 1\nmas 1\n", "row 1: expected 'mass'"),
+    ("type segments\n", "segments block is empty"),
+    ("type mixture\ncomponent 1/2\ncomponent 1/2\n  type m_set\n  a 0\n",
+     "component without a nested description"),
+])
+def test_each_refusal_names_its_fault(text, message):
+    with pytest.raises(PermutonError, match=message):
+        parse_permuton(text)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutons import (
-    Perm, from_perm, grid_densities, is_inflatable, load_permuton, m_set, profile,
+    Perm, PermutonError, from_perm, grid_densities, is_inflatable, load_permuton, m_set, profile,
     reflection_report, search_inflatable, symmetry_defect, uniform,
 )
 from permutons import symmetry as symmetry_module
@@ -381,3 +381,12 @@ def test_reflection_report_open_set():
     rep = reflection_report([Perm((1, 3, 2))])
     assert "reverse" not in rep
     assert "inverse" in rep  # 132 is its own inverse
+
+
+def test_exact_verdicts_are_refused_off_their_path():
+    with pytest.raises(PermutonError, match="exact verdicts need a grid permuton"):
+        symmetry_defect(m_set(Fraction(1, 2)), 3, mode="exact")
+    with pytest.raises(PermutonError, match="supports 1 <= k <= 4"):
+        is_inflatable((2, 4, 1, 3), 5)
+    # a plain tuple is read as the Perm it spells
+    assert is_inflatable((2, 4, 1, 3), 2) == is_inflatable(Perm((2, 4, 1, 3)), 2)
