@@ -32,9 +32,9 @@ from .symmetry import (
 )
 from .analysis import (
     AnalysisError, BracketingError, Budget, ChainReport, ConvergenceRow,
-    IdentityReport, IntegralReport, PrefixBoundReport, RootResult, cs_chain,
-    convergence_experiment, find_b, find_nu, identity_check, lemma_integrals,
-    nu_mixture, prefix_bound_check, t_id3_segment,
+    IdentityReport, IntegralReport, RootResult, convergence_experiment,
+    cs_chain, find_b, find_nu, identity_check, lemma_integrals, nu_mixture,
+    t_id3_segment,
 )
 
 __version__ = "0.1.0"
@@ -43,20 +43,19 @@ __all__ = [
     "AnalysisError", "BracketingError", "Budget", "ChainReport",
     "ConvergenceRow", "DEFAULT_SEED", "DensityReport", "DiscrepancyResult",
     "GridPermuton", "IdentityReport", "IntegralReport", "MarginalReport",
-    "MixturePermuton", "Perm", "PermError", "Permuton",
-    "PermutonDiscrepancy", "PermutonError", "PrefixBoundReport",
-    "Reflections", "RootResult", "Segment", "SegmentPermuton",
-    "SymmetryVerdict", "Z99", "all_densities", "all_patterns", "cdf",
-    "cdf_grid", "convergence_experiment", "cs_chain", "density_exact",
-    "density_exact_grid", "density_mc", "density_sampled", "discrepancy",
-    "discrepancy_brute", "discrepancy_permuton", "event_prob_mc", "find_b",
-    "find_nu", "from_perm", "grid_densities", "identity_check", "induce", "inversions",
-    "is_inflatable", "left_smaller_counts", "lemma_integrals",
-    "load_permuton", "m_set", "marginal_check", "moment", "nu_mixture",
-    "occurrences", "occurrences_naive", "parse_perm", "parse_permuton",
-    "pattern_histogram_mc", "pattern_of", "prefix_bound_check", "profile",
-    "profile_naive", "reflection_report", "reflections", "sample_patterns",
-    "sample_perm", "search_inflatable",
-    "segments_from_endpoints", "symmetry_defect", "t_id3_segment",
-    "uniform",
+    "MixturePermuton", "Perm", "PermError", "Permuton", "PermutonDiscrepancy",
+    "PermutonError", "Reflections", "RootResult", "Segment",
+    "SegmentPermuton", "SymmetryVerdict", "Z99", "all_densities",
+    "all_patterns", "cdf", "cdf_grid", "convergence_experiment", "cs_chain",
+    "density_exact", "density_exact_grid", "density_mc", "density_sampled",
+    "discrepancy", "discrepancy_brute", "discrepancy_permuton",
+    "event_prob_mc", "find_b", "find_nu", "from_perm", "grid_densities",
+    "identity_check", "induce", "inversions", "is_inflatable",
+    "left_smaller_counts", "lemma_integrals", "load_permuton", "m_set",
+    "marginal_check", "moment", "nu_mixture", "occurrences",
+    "occurrences_naive", "parse_perm", "parse_permuton",
+    "pattern_histogram_mc", "pattern_of", "profile", "profile_naive",
+    "reflection_report", "reflections", "sample_patterns", "sample_perm",
+    "search_inflatable", "segments_from_endpoints", "symmetry_defect",
+    "t_id3_segment", "uniform",
 ]

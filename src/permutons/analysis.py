@@ -13,7 +13,7 @@ This module evaluates
   Cauchy-Schwarz twice, with the per-step slacks;
 * t(id3, m_set(a)) as a closed-form cubic, the root b of
   t(id3, m_set(b)) = 1/6, and the mixture weight;
-* sampled-permutation convergence tables and the CDF sandwich check.
+* sampled-permutation convergence tables.
 
 Each of i1, i2, i3 is the probability of a fixed event on four iid
 mu-points P0..P3 = (X0, Y0)..(X3, Y3), since a uniform marginal gives
@@ -40,10 +40,10 @@ error is below 2/r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,9 +51,9 @@ from .counting import _check_exact_size, all_patterns
 from .discrepancy import PREFIX_BOUND_MAX_N, discrepancy
 from .measures import (
     GridPermuton, MixturePermuton, Permuton, _check_unit, _frac, cdf_many,
-    discrepancy_permuton, grid_densities, m_set, moment, sample_patterns,
+    grid_densities, m_set, moment, sample_patterns,
 )
-from .perms import DEFAULT_SEED, Perm, all_densities, mc_chunks, mean_ci99
+from .perms import DEFAULT_SEED, Z99, Perm, all_densities, mc_chunks
 
 EXACT_GRID_LIMIT = 300  # exact grid integrals; beyond it auto mode samples
 QUADRATURE_MAX_RESOLUTION = 4000  # r^2 midpoints held at once, ~55 B each
@@ -219,17 +219,27 @@ def _lebesgue_xy(rng: np.random.Generator, m: int):
     return rng.random(m), rng.random(m)
 
 
+def _fold(a: tuple, b: tuple) -> tuple[int, float, float]:
+    """Two (count, mean, std) summaries merged (Chan, Golub and LeVeque)."""
+    (na, ma, sa), (nb, mb, sb) = a, b
+    n, delta = na + nb, mb - ma
+    m2 = sa * sa * na + sb * sb * nb + delta * delta * na * nb / n
+    return n, ma + delta * nb / n, math.sqrt(m2 / n)
+
+
 def _mc_cdf_means(mu: Permuton, draw, integrands, samples: int,
                   seed: int) -> list[tuple[float, float]]:
-    """(mean, ci99) of each g(F(x, y), x, y) over one batch of points
-    drawn by ``draw(rng, m)``: mu.sample_xy or _lebesgue_xy."""
-    parts = [[] for _ in integrands]
+    """(mean, ci99) of each g(F(x, y), x, y) over one batch of points drawn
+    by ``draw(rng, m)``: mu.sample_xy or _lebesgue_xy.  Each chunk is folded
+    in as (count, mean, std) when drawn; one chunk gives its own exactly."""
+    stats = None
     for rng, m in mc_chunks(samples, seed, _MC_CHUNK):
         x, y = draw(rng, m)
         f = cdf_many(mu, x, y)
-        for part, g in zip(parts, integrands):
-            part.append(g(f, x, y))
-    return [mean_ci99(np.concatenate(part)) for part in parts]
+        chunk = [(m, float(v.mean()), float(v.std()))
+                 for v in (g(f, x, y) for g in integrands)]
+        stats = chunk if stats is None else list(map(_fold, stats, chunk))
+    return [(mean, Z99 * std / math.sqrt(n)) for n, mean, std in stats]
 
 
 def _quad_f2_lambda(mu: Permuton, resolution: int) -> tuple[float, float]:
@@ -523,7 +533,7 @@ def nu_mixture(a) -> MixturePermuton:
 
 
 # ---------------------------------------------------------------------------
-# convergence and sandwich checks
+# convergence tables
 
 
 @dataclass(frozen=True)
@@ -536,7 +546,6 @@ class ConvergenceRow:
 
 
 EXACT_DISCREPANCY_LIMIT = 1200
-GRID_DISCREPANCY_RESOLUTION = 1000
 
 
 def convergence_experiment(mu: Permuton, k: int, sizes: Sequence[int],
@@ -564,28 +573,10 @@ def convergence_experiment(mu: Permuton, k: int, sizes: Sequence[int],
         if n <= EXACT_DISCREPANCY_LIMIT:
             disc = float(discrepancy(tau, mode="exact"))
         else:
-            disc = discrepancy(tau, mode="grid",
-                               resolution=GRID_DISCREPANCY_RESOLUTION).lower
+            disc = discrepancy(tau, mode="grid").lower
         bound = discrepancy(tau, mode="prefix_bound").upper
         for pat, dens in report.entries.items():
             rows.append(ConvergenceRow(n=n, pattern=pat, density=float(dens),
                                        discrepancy=disc, bound=bound))
     return rows
 
-
-@dataclass(frozen=True)
-class PrefixBoundReport:
-    sup_dev: float
-    d_lower: float
-    resolution: int
-
-    @property
-    def passed(self) -> bool:
-        return self.d_lower <= 4.0 * self.sup_dev + 1e-9
-
-
-def prefix_bound_check(mu: Permuton, resolution: int = 200) -> PrefixBoundReport:
-    """Grid lower bound for d(mu) against the CDF sandwich 4 sup|F - xy|."""
-    rep = discrepancy_permuton(mu, resolution)
-    return PrefixBoundReport(sup_dev=rep.sup_dev, d_lower=rep.lower,
-                             resolution=resolution)

@@ -1,12 +1,14 @@
 """Command-line interface.
 
 One subcommand per library operation; every run is seeded (default seed
-20130409) so identical argv produce byte-identical output.  Permutation
-arguments accept either a path to a text file in one-line notation or the
-notation inline ("3 1 2" / "3,1,2"); permuton arguments are description
-files (see permuton_io).  Each subcommand is declared once, by ``_command``
-beside its body.  Exit codes: 0 success, 1 validation error (also an
-unreadable input or --out path), 2 internal error.
+20130409) so identical argv produce byte-identical output.  A permutation
+argument whose comma- or whitespace-separated tokens are all integers is
+the notation inline ("3 1 2" / "3,1,2"); any other is a path to a text
+file in one-line notation ("./1" reads the file 1).  Permuton arguments
+are description files (see permuton_io).  Each subcommand is declared
+once, by ``_command`` beside its body.  Exit codes: 0 success, 1
+validation error (also an unreadable input or --out path), 2 internal
+error.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, counting, measures, permuton_io, symmetry
+from . import analysis, measures, permuton_io, symmetry
 from .analysis import AnalysisError, BracketingError, Budget
 from .measures import PermutonError
 from .perms import DEFAULT_SEED, Perm, PermError, all_densities, density_exact, \
@@ -47,10 +48,15 @@ def _fmt(x) -> str:
 
 
 def _read_perm(arg: str) -> Perm:
-    if os.path.exists(arg):
-        with open(arg) as fh:
-            return parse_perm(fh.read())
-    return parse_perm(arg)
+    # inline notation when every token is an integer, a path otherwise
+    try:
+        inline = bool([int(t) for t in arg.replace(",", " ").split()])
+    except ValueError:
+        inline = False
+    if inline:
+        return parse_perm(arg)
+    with open(arg) as fh:
+        return parse_perm(fh.read())
 
 
 def _emit(lines: list[str], out: str | None) -> None:

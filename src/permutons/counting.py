@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, combinations, islice, permutations
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

@@ -508,12 +508,9 @@ def m_set(a) -> SegmentPermuton:
     for (x0, y0, x1, y1) in raw:
         key = tuple(sorted(((x0, y0), (x1, y1))))
         merged[key] = merged.get(key, Fraction(0)) + abs(x1 - x0)
-    total = sum(merged.values(), Fraction(0))
-    segs = tuple(
-        Segment(p0[0], p0[1], p1[0], p1[1], w / total)
-        for (p0, p1), w in sorted(merged.items())
-    )
-    return SegmentPermuton(segs)
+    ends = sorted(merged)
+    return segments_from_endpoints([p0 + p1 for p0, p1 in ends],
+                                   [merged[e] for e in ends])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ A permutation of length n is stored as the tuple of its images
 primitives (induced subpatterns, exact and sampled pattern densities,
 the reflection symmetries) on top of the counting engines in
 :mod:`permutons.counting`, and the seeded Monte Carlo chunk loop
-(:func:`mc_chunks`) with the 99% intervals that every sampled estimator
-of the package shares.
+(:func:`mc_chunks`) with the 99% quantile and intervals that every
+sampled estimator of the package shares.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,11 +32,6 @@ def binomial_ci99(hits: int, samples: int) -> float:
         est = hits / samples
         return Z99 * math.sqrt(est * (1 - est) / samples)
     return Z99 * Z99 / (samples + Z99 * Z99)
-
-
-def mean_ci99(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean with the 99% normal half-width z * std / sqrt(len)."""
-    return float(values.mean()), Z99 * float(values.std()) / math.sqrt(len(values))
 
 
 def mc_chunks(samples: int, seed: int,
@@ -161,8 +156,8 @@ def induce(tau: Perm, indices: Sequence[int]) -> Perm:
 def parse_perm(text: str) -> Perm:
     """Parse one-line notation: whitespace or comma separated integers.
 
-    Lines starting with ``#`` are comments.  Rejects non-bijections with a
-    message naming the duplicated or missing value.
+    Lines starting with ``#`` are comments.  ``Perm`` rejects non-bijections
+    with a message naming the first value out of range or repeated.
     """
     tokens: list[str] = []
     for line in text.splitlines():
@@ -176,15 +171,6 @@ def parse_perm(text: str) -> Perm:
         values = [int(t) for t in tokens]
     except ValueError as exc:
         raise PermError(f"non-integer token in permutation: {exc}") from None
-    n = len(values)
-    seen: dict[int, int] = {}
-    for v in values:
-        if v in seen:
-            raise PermError(f"duplicated value {v}")
-        seen[v] = 1
-    for want in range(1, n + 1):
-        if want not in seen:
-            raise PermError(f"missing value {want} (length {n})")
     return Perm(tuple(values))
 
 
@@ -192,9 +178,10 @@ def parse_perm(text: str) -> Perm:
 class DensityReport:
     """All pattern densities of a fixed length, with an error radius.
 
-    ``entries`` maps each pattern of length ``k`` to its density, exact
-    Fractions on the exact path and floats on the sampled path.  ``defect``
-    and ``witness`` follow :func:`defect_witness`.
+    ``entries`` maps each pattern of length ``k`` to its density.
+    :func:`all_densities`, the one producer, gives exact Fractions and
+    ``error_radius`` 0.  ``defect`` and ``witness`` follow
+    :func:`defect_witness`.
     """
 
     k: int

@@ -32,7 +32,9 @@ type m_set
 
 type mixture
     ``component <weight>`` lines, each followed by a nested description
-    indented by two or more spaces::
+    indented past it.  A nested block ends at its first line indented less
+    than its ``type`` line, and the next line must be a ``component`` line
+    at the mixture's indent::
 
         type mixture
         component 1/2
@@ -204,14 +206,7 @@ def _parse_mixture(body: list[str], base: int) -> MixturePermuton:
         i += 1
         if i >= len(body) or _indent(body[i]) <= base:
             raise PermutonError("component without a nested description")
-        sub_start = i
-        sub_indent = _indent(body[i])
-        while i < len(body) and _indent(body[i]) > base:
-            i += 1
-        sub = [l[sub_indent:] if len(l) >= sub_indent else l for l in body[sub_start:i]]
-        mu, used = _parse_block(sub, 0)
-        if used != len(sub):
-            raise PermutonError(f"trailing content in component: {sub[used]!r}")
+        mu, i = _parse_block(body, i)
         comps.append(mu)
     if not comps:
         raise PermutonError("mixture has no components")

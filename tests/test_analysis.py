@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from permutons import (
     AnalysisError, BracketingError, Budget, Perm, cs_chain, density_mc,
     find_b, find_nu, from_perm, identity_check, lemma_integrals, m_set,
-    nu_mixture, prefix_bound_check, segments_from_endpoints, t_id3_segment,
+    nu_mixture, segments_from_endpoints, t_id3_segment,
     uniform, convergence_experiment, PermError, PermutonError,
 )
 from permutons import analysis
@@ -326,14 +326,6 @@ def test_quadrature_resolution_is_refused_before_any_sampling(monkeypatch):
     assert lemma_integrals(from_perm(Perm((2, 1))), Budget(resolution=20000)).exact
     rep = lemma_integrals(window, Budget(samples=100, resolution=20000, mode="mc"))
     assert rep.methods == ("mc", "mc", "mc")
-
-
-def test_prefix_bound_check_fixtures():
-    for mu in (uniform(), from_perm(Perm((3, 1, 2))), m_set(F(0)),
-               m_set(F(1, 2))):
-        rep = prefix_bound_check(mu)
-        assert rep.passed
-        assert rep.d_lower <= 4 * rep.sup_dev + 1e-9
 
 
 def test_convergence_beyond_the_exact_limit_reads_the_grid_discrepancy(monkeypatch):

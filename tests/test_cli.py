@@ -225,6 +225,14 @@ def test_permutation_arguments_read_from_files(capsys, tmp_path):
         run(capsys, "density", "1 2", "1 3 2") == (0, "t = 2/3 (0.666666666667)\n", "")
 
 
+def test_integer_arguments_are_inline_and_paths_are_explicit(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "1").write_text("2 1\n")
+    assert run(capsys, "density", "1", "1 2 3") == (0, "t = 1 (1)\n", "")
+    assert run(capsys, "density", "./1", "1 2 3") == (0, "t = 0 (0)\n", "")
+
+
 def test_check_marginals_pass_fail(capsys, tmp_path, grid_file):
     code, out, _ = run(capsys, "check-marginals", grid_file)
     assert code == 0 and "pass = True" in out

@@ -5,14 +5,15 @@ The pinned numbers are the outputs of the per-estimator chunk loops that
 interval arithmetic shows up here as an inequality.
 """
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from permutons import (
-    Budget, Perm, PermError, density_mc, density_sampled, event_prob_mc,
-    from_perm, identity_check, lemma_integrals, m_set, nu_mixture,
-    pattern_histogram_mc, symmetry_defect, uniform,
+    Budget, Perm, PermError, analysis, density_mc, density_sampled,
+    event_prob_mc, from_perm, identity_check, lemma_integrals, m_set,
+    nu_mixture, pattern_histogram_mc, symmetry_defect, uniform,
 )
 from permutons.perms import mc_chunks
 
@@ -149,6 +150,23 @@ def test_runs_of_more_than_one_chunk_keep_their_streams():
     rep = identity_check(MUS["m_set"], Budget(samples=2_000_003, seed=2, mode="mc"))
     assert (rep.lhs, rep.error_radius) == \
         (0.11137665582448027, 0.000303377758454243)
+
+
+def test_mc_integrals_hold_one_chunk_at_a_time(monkeypatch):
+    # each chunk is reduced as it is drawn, so 32 chunks peak as high as 2
+    monkeypatch.setattr(analysis, "_MC_CHUNK", 10_000)
+    mu = m_set(F(1, 2))
+    lemma_integrals(mu, Budget(samples=100, mode="mc"))
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            lemma_integrals(mu, Budget(samples=samples, mode="mc"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(320_000) <= 1.1 * peak(20_000)
 
 
 @pytest.mark.parametrize("samples", [0, -5])

@@ -693,9 +693,14 @@ def test_permuton_discrepancy_uniform_is_tiny():
     assert res.lower < 1e-12
 
 
-def test_m_set_discrepancy_sandwich():
-    res = discrepancy_permuton(m_set(F(0)), 128)
-    assert res.lower == pytest.approx(0.25, abs=1e-12)
+@pytest.mark.parametrize("mu, lower", [
+    (uniform(), None), (from_perm(Perm((3, 1, 2))), None), (m_set(F(0)), 0.25),
+    (m_set(F(1, 2)), None),
+], ids=["uniform", "perm312", "m_set0", "m_set_half"])
+def test_m_set_discrepancy_sandwich(mu, lower):
+    res = discrepancy_permuton(mu, 128)
+    if lower is not None:
+        assert res.lower == pytest.approx(lower, abs=1e-12)
     assert res.lower <= 4 * res.sup_dev + 1e-9
 
 

@@ -50,6 +50,10 @@ def test_parse_formats():
         parse_perm("")
     with pytest.raises(PermError):
         parse_perm("1 a 2")
+    with pytest.raises(PermError, match=r"value 5 out of range 1\.\.3"):
+        parse_perm("1 5 2")
+    with pytest.raises(PermError, match="duplicated value 2"):
+        parse_perm("2 1 2")
 
 
 @given(perms)

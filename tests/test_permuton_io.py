@@ -123,6 +123,9 @@ def test_load_roundtrip_fixture(tmp_path):
     ("type segments\n", "segments block is empty"),
     ("type mixture\ncomponent 1/2\ncomponent 1/2\n  type m_set\n  a 0\n",
      "component without a nested description"),
+    # a nested line indented less than its type line ends the block
+    ("type mixture\ncomponent 1\n    type m_set\n   xa 1/2\n", "missing field"),
+    ("type mixture\ncomponent 1\n    type perm\n   zzzperm 2 1\n", "missing field"),
 ])
 def test_each_refusal_names_its_fault(text, message):
     with pytest.raises(PermutonError, match=message):
