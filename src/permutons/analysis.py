@@ -158,7 +158,7 @@ def _grid_cell_integrals(mu: GridPermuton) -> dict[str, Fraction]:
     if n > EXACT_GRID_LIMIT:
         raise AnalysisError(
             f"exact grid integrals support n <= {EXACT_GRID_LIMIT}")
-    D, ij, w, _ = mu._table
+    D, ij, w = mu._table.D, mu._table.ij, mu._table.w
     # a <= D and b, c, d <= D/n (every row and column of M sums to D/n), so
     # every term and sum below stays under 100 D^2 (D + n^2); past int64
     # the same sweep runs on Python ints
@@ -194,10 +194,10 @@ def _grid_l(mu: GridPermuton) -> Fraction:
     = a_a / (6 n^2); with w_ij = D m_ij, L = sum w_ij a_a a_b / (36 D n^4).
     """
     n2 = mu.n * mu.n
-    D, ij, w, _ = mu._table
+    t = mu._table
     A = [3 * (n2 - (a + 1) ** 2) + 3 * a + 2 for a in range(mu.n)]
-    total = sum(x * A[i - 1] * A[j - 1] for (i, j), x in zip(ij.tolist(), w))
-    return Fraction(total, 36 * D * n2 * n2)
+    total = sum(x * A[i - 1] * A[j - 1] for (i, j), x in zip(t.ij.tolist(), t.w))
+    return Fraction(total, 36 * t.D * n2 * n2)
 
 
 # ---------------------------------------------------------------------------

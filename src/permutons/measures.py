@@ -97,9 +97,11 @@ def _pick_cells(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     start, cpad, passes = _guide_table(cum)
     p = start[(u * len(start)).astype(np.intp)]
-    for b in reversed(range(passes)):
+    for b in reversed(range(1, passes)):
         step = 1 << b
         p += step * (cpad[p + (step - 1)] <= u)
+    if passes:  # step 1 adds the comparison itself: no offset copy, no product
+        p += cpad[p] <= u
     return np.minimum(p, len(cum) - 1, out=p)
 
 
@@ -150,6 +152,9 @@ class Permuton:
         Each draw picks its cell, segment or component with
         :func:`_pick_cells`, which returns the same indices as a binary
         search over the cumulative masses, so a call costs O(pieces + count).
+        Grids and segments then gather their picks with ``take`` and finish
+        in place, in the same IEEE operations as the plain formulas, so a
+        seeded stream keeps its bits.
         """
         raise NotImplementedError
 
@@ -263,10 +268,14 @@ class GridPermuton(Permuton):
         """Bilinear interpolation of P[a, b] = F(a/n, b/n), exact up to
         rounding because mass is uniform inside each cell.
 
-        Points are sorted by grid column and P is built in blocks of at
-        most ``_CDF_BLOCK`` entries, each block's rows following from the
-        previous block's last row, so a call costs O(n^2 + points log
-        points) time and O(_CDF_BLOCK + n + points) memory.
+        P is built in blocks of at most ``_CDF_BLOCK`` entries, each
+        block's rows following from the previous block's last row, and the
+        points are grouped by block with a stable argsort of their block
+        keys; each value reads only its own point and its block, so the
+        grouping cannot move a bit.  Up to n = 511 there is one block and
+        the argsort is a single O(points) run, so a call costs O(n^2 +
+        points) time; beyond it the argsort costs at most O(points log
+        points).  Memory is O(_CDF_BLOCK + n + points).
         """
         n = self.n
         shape = np.shape(xs)
@@ -276,13 +285,14 @@ class GridPermuton(Permuton):
         row = np.clip(v.astype(np.int64), 0, n - 1)
         u -= col  # offsets inside the cell
         v -= row
-        order = np.argsort(col, kind="stable")
         ci, cj = self._table.ij.T
         cm = self._table.mass
         out = np.empty(len(u))
         step = max(1, _CDF_BLOCK // (n + 1) - 1)
-        carry = np.zeros(n + 1)
-        for lo in range(0, n, step):
+        order = np.argsort(col // step, kind="stable")  # grouped by block
+        sizes = np.bincount(col // step, minlength=-(-n // step)).tolist()
+        carry, p1 = np.zeros(n + 1), 0
+        for lo, size in zip(range(0, n, step), sizes):
             hi = min(n, lo + step)
             # P rows lo..hi: row lo carried in, then each column's y-prefix masses
             table = np.zeros((hi - lo + 1, n + 1))
@@ -292,7 +302,7 @@ class GridPermuton(Permuton):
             np.cumsum(table[1:], axis=1, out=table[1:])
             np.cumsum(table, axis=0, out=table)
             carry = table[-1].copy()
-            p0, p1 = np.searchsorted(col, (lo, hi), sorter=order)
+            p0, p1 = p1, p1 + size
             idx = order[p0:p1]
             flat = table.ravel()
             k = (col[idx] - lo) * (n + 1) + row[idx]
@@ -306,10 +316,16 @@ class GridPermuton(Permuton):
     # ---- sampling -----------------------------------------------------
 
     def sample_xy(self, rng: np.random.Generator, count: int):
+        # one take of the float corners i - 1, j - 1, then + u and / n in
+        # place: float(i - 1) + u is what (i - 1 + u) does on the int keys
         t = self._table
         pick = _pick_cells(np.cumsum(t.mass / t.mass.sum()), rng.random(count))
-        u, w = rng.random(count), rng.random(count)
-        return (t.ij[pick, 0] - 1 + u) / self.n, (t.ij[pick, 1] - 1 + w) / self.n
+        x, y = (t.ij - 1.0).T.copy().take(pick, axis=1)
+        x += rng.random(count)
+        y += rng.random(count)
+        x /= self.n
+        y /= self.n
+        return x, y
 
     # ---- structure ----------------------------------------------------
 
@@ -412,10 +428,15 @@ class SegmentPermuton(Permuton):
         return total
 
     def sample_xy(self, rng: np.random.Generator, count: int):
-        x0, y0, dx, dy, mass = self._floats
+        mass = self._floats[4]
         pick = _pick_cells(np.cumsum(mass / mass.sum()), rng.random(count))
+        x0, y0, dx, dy = self._floats[:4].take(pick, axis=1)
         t = rng.random(count)
-        return x0[pick] + t * dx[pick], y0[pick] + t * dy[pick]
+        dx *= t  # x0 + t dx, in place
+        dx += x0
+        dy *= t
+        dy += y0
+        return dx, dy
 
     def cdf_float(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -829,8 +850,8 @@ def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fract
     of its pattern: under the (k!)^2 global tie-break orders sigma, rho, with
     keys rank * k + sigma_p in x and rank * k + rho_p in y, every order inside
     a tie group is equally likely.  t(pi) = sum weight count(pi) / (D^k (k!)^2)."""
-    denom, ij, w, _ = mu._table
-    pos = [c for c, x in enumerate(w) if x > 0]
+    tab = mu._table
+    pos = [c for c, x in enumerate(tab.w) if x > 0]
     count = math.comb(len(pos) + k - 1, k)
     if count > GRID_MULTISET_MAX:
         raise PermutonError(
@@ -842,9 +863,9 @@ def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fract
     for i in range(1, k):
         run = np.where(sets[:, i] == sets[:, i - 1], run + 1, 1)
         mults = mults * run
-    mass = np.array([w[c] for c in pos], dtype=object)
+    mass = np.array([tab.w[c] for c in pos], dtype=object)
     weight = mass[sets].prod(axis=1) * (math.factorial(k) // mults)
-    pts = ij[pos][sets].transpose(0, 2, 1)
+    pts = tab.ij[pos][sets].transpose(0, 2, 1)
     below = (pts[:, :, None, :] < pts[:, :, :, None]).sum(axis=3).reshape(count, 2 * k)
     shapes, inverse = np.unique(below, axis=0, return_inverse=True)
     orders = np.array(list(permutations(range(k))), dtype=np.int64)
@@ -856,7 +877,7 @@ def _multiset_densities(mu: GridPermuton, k: int) -> dict[tuple[int, ...], Fract
                          minlength=fk * len(shapes)).reshape(len(shapes), fk)
     totals = np.zeros(len(shapes), dtype=object)
     np.add.at(totals, inverse.ravel(), weight)
-    scale = denom ** k * math.factorial(k) ** 2
+    scale = tab.D ** k * math.factorial(k) ** 2
     return {pi: Fraction(int(t), scale)
             for pi, t in zip(counting.all_patterns(k), totals @ counts)}
 
@@ -904,7 +925,7 @@ def cdf_grid(mu: Permuton, resolution: int) -> np.ndarray:
     """F sampled on the (resolution+1)^2 corner grid, as floats.
 
     One ``cdf_float`` call on the tick mesh; a grid permuton of size n
-    costs O(n^2 + r^2 log r).
+    costs O(n^2 + r^2) up to n = 511 and O(n^2 + r^2 log r) beyond.
     """
     ticks = np.linspace(0.0, 1.0, resolution + 1)
     return mu.cdf_float(*np.meshgrid(ticks, ticks, indexing="ij"))
@@ -951,9 +972,10 @@ def discrepancy_permuton(mu: Permuton, resolution: int) -> PermutonDiscrepancy:
 def cdf_many(mu: Permuton, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """F(x_i, y_i) as floats for arrays of query points.
 
-    Grid permutons of size n cost O(n^2 + points log points) time and
-    O(n + points) memory beyond a fixed block budget; segment and mixture
-    permutons cost O(points x segments).
+    Grid permutons of size n cost O(n^2 + points) time up to n = 511
+    (one CDF block) and O(n^2 + points log points) beyond, and O(n + points)
+    memory beyond a fixed block budget; segment and mixture permutons cost
+    O(points x segments).
     """
     return mu.cdf_float(xs, ys)
 

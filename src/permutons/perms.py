@@ -176,23 +176,21 @@ def parse_perm(text: str) -> Perm:
 
 @dataclass
 class DensityReport:
-    """All pattern densities of a fixed length, with an error radius.
+    """All exact pattern densities of a fixed length.
 
-    ``entries`` maps each pattern of length ``k`` to its density.
-    :func:`all_densities`, the one producer, gives exact Fractions and
-    ``error_radius`` 0.  ``defect`` and ``witness`` follow
-    :func:`defect_witness`.
+    ``entries`` maps each pattern of length ``k`` to its density, an exact
+    Fraction; :func:`all_densities` is the one producer.  ``defect`` and
+    ``witness`` follow :func:`defect_witness`.
     """
 
     k: int
-    entries: dict[Perm, Fraction | float]
-    error_radius: float = 0.0
+    entries: dict[Perm, Fraction]
 
     def __post_init__(self) -> None:
         self.entries = dict(sorted(self.entries.items(), key=lambda kv: kv[0].images))
 
     @property
-    def defect(self) -> Fraction | float:
+    def defect(self) -> Fraction:
         return defect_witness(self.entries, self.k)[0]
 
     @property
@@ -231,10 +229,7 @@ def all_densities(k: int, tau: Perm) -> DensityReport:
     """
     prof = counting.profile(tau.images, k)
     denom = math.comb(len(tau), k)
-    entries: dict[Perm, Fraction | float] = {
-        Perm(p): Fraction(c, denom) for p, c in prof.items()
-    }
-    return DensityReport(k=k, entries=entries, error_radius=0.0)
+    return DensityReport(k, {Perm(p): Fraction(c, denom) for p, c in prof.items()})
 
 
 _SUBSET_BLOCK = 1 << 18  # uniforms held at once by density_sampled's small-n draw

@@ -8,13 +8,16 @@ interval arithmetic shows up here as an inequality.
 import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from permutons import (
-    Budget, Perm, PermError, analysis, density_mc, density_sampled,
-    event_prob_mc, from_perm, identity_check, lemma_integrals, m_set,
-    nu_mixture, pattern_histogram_mc, symmetry_defect, uniform,
+    Budget, GridPermuton, MixturePermuton, Perm, PermError, analysis,
+    density_mc, density_sampled, event_prob_mc, from_perm, identity_check,
+    lemma_integrals, m_set, nu_mixture, pattern_histogram_mc, symmetry_defect,
+    uniform,
 )
+from permutons.measures import _guide_table
 from permutons.perms import mc_chunks
 
 TAU9 = Perm((3, 1, 4, 2, 6, 5, 8, 7, 9))
@@ -182,3 +185,66 @@ def test_mc_estimators_refuse_bad_sample_counts(samples):
         density_mc((1, 2), mu, samples, 1)
     with pytest.raises(PermError):
         density_sampled(Perm((1, 2)), TAU9, samples, 1)
+
+
+def _blend(n, seed):
+    """A non-flat grid: mass 9/(10n) on one permutation's cells and 1/(10n)
+    on another's, merged where they meet."""
+    rng = np.random.default_rng(seed)
+    cells = {}
+    for perm, w in ((rng.permutation(n), F(9, 10)), (rng.permutation(n), F(1, 10))):
+        for i, j in enumerate(perm.tolist()):
+            cells[i + 1, j + 1] = cells.get((i + 1, j + 1), 0) + w / n
+    return GridPermuton(n, cells)
+
+
+SCALE_MUS = {
+    "grid400": from_perm(tuple((np.random.default_rng(400).permutation(400) + 1).tolist())),
+    "blend30": _blend(30, 1),
+    "m_set": m_set(F(3083, 6400)),
+    "m_set0_m_set1": nu_mixture(F(1, 3)),
+}
+
+
+def _searched(cum, rng, count):
+    return np.minimum(np.searchsorted(cum, rng.random(count), side="right"),
+                      len(cum) - 1)
+
+
+def _reference_xy(mu, rng, count):
+    """sample_xy drawn test-side: a binary search for each pick and the
+    plain formulas, on the same PCG64 stream."""
+    if isinstance(mu, MixturePermuton):
+        pick = _searched(np.cumsum([float(w) for w in mu.weights]), rng, count)
+        x, y = np.empty(count), np.empty(count)
+        for c, comp in enumerate(mu.components):
+            mask = pick == c
+            if mask.any():
+                x[mask], y[mask] = _reference_xy(comp, rng, int(mask.sum()))
+        return x, y
+    if isinstance(mu, GridPermuton):
+        items = sorted(mu.cells.items())
+        ij = np.array([key for key, _ in items], dtype=np.int64)
+        mass = np.array([float(m) for _, m in items])
+        pick = _searched(np.cumsum(mass / mass.sum()), rng, count)
+        u, w = rng.random(count), rng.random(count)
+        return (ij[pick, 0] - 1 + u) / mu.n, (ij[pick, 1] - 1 + w) / mu.n
+    x0, y0, dx, dy, mass = (np.array([float(v) for v in vs]) for vs in zip(
+        *((s.x0, s.y0, s.x1 - s.x0, s.y1 - s.y0, s.mass) for s in mu.segments)))
+    pick = _searched(np.cumsum(mass / mass.sum()), rng, count)
+    t = rng.random(count)
+    return x0[pick] + t * dx[pick], y0[pick] + t * dy[pick]
+
+
+def test_blend_grid_takes_more_than_one_bisection_pass():
+    mass = np.array([float(m) for _, m in sorted(SCALE_MUS["blend30"].cells.items())])
+    assert _guide_table(np.cumsum(mass / mass.sum()))[2] >= 2
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_MUS))
+def test_sample_xy_keeps_its_seeded_stream_at_scale(name):
+    mu = SCALE_MUS[name]
+    got = mu.sample_xy(np.random.default_rng(17), 200_000)
+    want = _reference_xy(mu, np.random.default_rng(17), 200_000)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

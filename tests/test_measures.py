@@ -17,8 +17,8 @@ from permutons import (
 )
 from permutons.counting import pattern_index, row_ranks
 from permutons.measures import (
-    MARGINAL_MAX_RESOLUTION, MarginalReport, _guide_table, _multiset_densities,
-    _pick_cells, _sample_rows, _t_fraction_inside, cdf_many,
+    _CDF_BLOCK, MARGINAL_MAX_RESOLUTION, MarginalReport, _guide_table,
+    _multiset_densities, _pick_cells, _sample_rows, _t_fraction_inside, cdf_many,
 )
 from permutons.perms import mc_chunks
 from permutons.permuton_io import parse_permuton
@@ -415,6 +415,29 @@ def test_cdf_grid_is_cdf_many_on_ticks():
     for mu in (from_perm(random_perm(rng, 50)), m_set(F(1, 2)), mixture):
         want = cdf_many(mu, gx.ravel(), gy.ravel()).reshape(r + 1, r + 1)
         assert np.array_equal(cdf_grid(mu, r), want)
+
+
+def test_grid_cdf_float_is_pointwise_across_blocks():
+    # n = 1000 builds P in four blocks of 260 columns; points go in whatever
+    # order, so a batch must give each point its own one-point value
+    rng = np.random.default_rng(29)
+    n = 1000
+    mu = from_perm(random_perm(rng, n))
+    step = _CDF_BLOCK // (n + 1) - 1
+    cols = [c for lo in range(step, n, step) for c in (lo - 1, lo)]
+    xs = np.concatenate([(np.repeat(cols, 4) + np.tile([0, 0.5, 0.999, 1], len(cols))) / n,
+                         rng.random(60), [1.0, 1.0, 0.0, np.nan, 0.3]])
+    ys = np.concatenate([rng.random(4 * len(cols)), rng.random(60),
+                         [1.0, 0.4, 1.0, 0.5, np.nan]])
+    order = rng.permutation(len(xs))
+    xs, ys = xs[order], ys[order]
+    with np.errstate(invalid="ignore"):
+        got = mu.cdf_float(xs, ys)
+        want = np.concatenate([mu.cdf_float(xs[i:i + 1], ys[i:i + 1])
+                               for i in range(len(xs))])
+    assert len(range(0, n, step)) == 4
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got).sum() == 2
 
 
 def test_cdf_many_grid_never_builds_dense_table():
