@@ -13,11 +13,17 @@ Modes:
   beyond n = EXACT_MAX_N = 2000.
 * ``prefix_bound``: s = max over prefix pairs of |ab/n^2 - N(a,b)/n| in
   O(n^2).  The grid-corner argument gives s <= d <= 4s exactly.  Refused
-  beyond n = PREFIX_BOUND_MAX_N = 20000.
+  beyond n = PREFIX_BOUND_MAX_N = 45000, where it takes 0.8-1.3 s.
 * ``grid``: certified enclosure for large n.  Endpoints restricted to about
   ``resolution`` equally spaced positions/values give a lower bound; moving
   an endpoint to the nearest gridline changes the deviation by at most
   2/resolution per endpoint, so d <= lower + 8/resolution.
+
+Both sweeps reduce a block of rows at a time, about _BLOCK_CELLS entries:
+the prefix rows of consecutive positions, and in ``box_spread`` the row
+differences of a tile of row pairs.  Their integer tables are int32 while
+every entry fits (n^2 < 2^31 for the prefix rows, 2 n^2 < 2^31 for the
+corner table, so every exact call), else int64.
 """
 
 from __future__ import annotations
@@ -29,11 +35,16 @@ import numpy as np
 
 from .counting import PermError, perm_array
 
-# the (n+1)^2 int64 corner table is 32 MB here, about a third of the peak
+# the (n+1)^2 corner table is 16 MB of int32 here (32 MB as int64); with the
+# int64 histogram it is cast from, the peak is 49 MB
 EXACT_MAX_N = 2000
-# one numpy pass per position: 0.6-0.8 s at 20,000 (2-vCPU Xeon), 6.2 s at
-# 30,000 once its three arrays outgrow the cache
-PREFIX_BOUND_MAX_N = 20_000
+# the blocked sweep, one fresh process per run (2-vCPU Xeon, 5 runs each):
+# 0.19-0.21 s at 20,000, 0.38-0.89 s at 30,000 and 0.83-1.28 s here, against
+# 1.81-2.56 s at 20,000 for one numpy pass per position; past 46,340 the
+# rows are int64, and at 50,000 it took 2.05-4.67 s, no faster than that
+PREFIX_BOUND_MAX_N = 45_000
+# entries per block of the prefix and box sweeps: 0.5 MB of int32
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -75,25 +86,61 @@ def discrepancy_brute(tau) -> DiscrepancyResult:
                              "brute", best, n)
 
 
+def _int_dtype(bound: int):
+    """int32 when every value of a table lies in [-bound, bound] and bound
+    < 2^31, else int64: the sweeps below read half the bytes in int32."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def _prefix_statistic(v: np.ndarray) -> int:
-    """max over (a, b) in [0..n]^2 of |n*N(a,b) - a*b| (integer)."""
+    """max over (a, b) in [0..n]^2 of |n*N(a,b) - a*b| (integer).
+
+    Row a is row a - 1 minus b, plus n on the suffix b >= v_a: two in-place
+    calls per position, each writing its row into a block of _BLOCK_CELLS
+    entries, and one max and one min per block.
+    """
     n = len(v)
-    bgrid = np.arange(n + 1, dtype=np.int64)
-    z = np.zeros(n + 1, dtype=np.int64)
+    dt = _int_dtype(n * n)
+    bgrid = np.arange(n + 1, dtype=dt)
+    rows = max(1, min(_BLOCK_CELLS // (n + 1), n))
+    block = np.empty((rows, n + 1), dtype=dt)
+    prev = np.zeros(n + 1, dtype=dt)
     best = 0
-    for a in range(1, n + 1):
-        z[v[a - 1]:] += n
-        dev = np.abs(z - a * bgrid).max()
-        if dev > best:
-            best = int(dev)
+    for a0 in range(0, n, rows):
+        blk = block[:min(rows, n - a0)]
+        for row, vi in zip(blk, v[a0:a0 + len(blk)].tolist()):
+            np.subtract(prev, bgrid, out=row)
+            row[vi:] += n
+            prev = row
+        best = max(best, int(blk.max()), -int(blk.min()))
     return best
 
 
 def box_spread(Q: np.ndarray):
     """max over rows a1 < a2 and columns b1 < b2 of
     |Q[a2, b2] - Q[a2, b1] - Q[a1, b2] + Q[a1, b1]|: the largest spread of
-    a row difference, one vectorised sweep per a1."""
-    return max(np.ptp(Q[a1 + 1:] - Q[a1], axis=1).max() for a1 in range(len(Q) - 1))
+    a row difference Q[a2] - Q[a1].
+
+    The row pairs are swept in tiles of w1 rows a1 by w2 rows a2, about
+    _BLOCK_CELLS entries of row differences each, formed in one buffer
+    and reduced along b in one max and one min per tile.  A tile on the
+    diagonal also takes pairs with a2 <= a1, whose spread is 0 or that
+    of (a2, a1).
+    """
+    m = len(Q)
+    w2 = min(max(1, _BLOCK_CELLS // m), m - 1)
+    w1 = max(1, _BLOCK_CELLS // (m * w2))
+    diff = np.empty((w1, w2, m), dtype=Q.dtype)
+    best = 0
+    for i in range(0, m - 1, w1):
+        rows = Q[i:i + w1, None]
+        for j in range(i + 1, m, w2):
+            d = diff[:len(rows), :min(w2, m - j)]
+            np.subtract(Q[None, j:j + w2], rows, out=d)
+            spread = d.max(axis=2)
+            spread -= d.min(axis=2)
+            best = max(best, spread.max())
+    return best
 
 
 def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
@@ -103,7 +150,8 @@ def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
     Q[i, j] = n * #{p < cuts[i] : v_p <= cuts[j]} - cuts[i] * cuts[j] comes
     from one 2-D histogram of (position, value) cut buckets and two
     cumulative sums.  For position cuts a1 < a2 the best value interval is
-    the spread of P = Q[a2] - Q[a1], which ``box_spread`` sweeps.
+    the spread of P = Q[a2] - Q[a1], which ``box_spread`` sweeps.  Q and
+    every spread lie in [-2n^2, 2n^2], so Q is int32 while 2n^2 < 2^31.
     """
     n = len(v)
     r = min(resolution, n)
@@ -111,11 +159,13 @@ def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
     m = len(cuts)
     row = np.searchsorted(cuts, np.arange(n), side="right")
     col = np.searchsorted(cuts, v, side="left")
-    Q = np.bincount(row * m + col, minlength=m * m).reshape(m, m)
-    np.cumsum(Q, axis=0, out=Q)
-    np.cumsum(Q, axis=1, out=Q)
+    dt = _int_dtype(2 * n * n)
+    Q = np.bincount(row * m + col, minlength=m * m).astype(dt).reshape(m, m)
+    np.cumsum(Q, axis=0, dtype=dt, out=Q)
+    np.cumsum(Q, axis=1, dtype=dt, out=Q)
     Q *= n
-    Q -= np.outer(cuts, cuts)
+    c = cuts.astype(dt)
+    Q -= np.outer(c, c)
     best = int(box_spread(Q))
     lower = best / n**2
     step = math.ceil(n / r)
@@ -129,8 +179,12 @@ def discrepancy(tau, mode: str = "exact", resolution: int = 1000) -> Discrepancy
     docs); other sequences are refused with PermError."""
     if mode not in ("exact", "prefix_bound", "grid"):
         raise ValueError(f"unknown discrepancy mode {mode!r}")
-    if mode == "grid" and resolution < 2:
-        raise PermError("grid resolution must be >= 2")
+    if mode == "grid":
+        if not isinstance(resolution, (int, np.integer)):
+            raise PermError(f"grid resolution must be an integer, got {resolution!r}")
+        if resolution < 2:
+            raise PermError("grid resolution must be >= 2")
+        resolution = int(resolution)
     v = perm_array(getattr(tau, "images", tau))
     n = len(v)
     if n == 1:

@@ -568,14 +568,17 @@ class MixturePermuton(Permuton):
                    Fraction(0))
 
     def sample_xy(self, rng: np.random.Generator, count: int):
-        pick = _pick_cells(np.cumsum(self._floats), rng.random(count))
+        # component indices in their narrowest type (one byte up to 256
+        # components), which leaves room for a component's int64 scatter
+        # indices: beside an int64 pick they raised the peak memory
+        pick = _pick_cells(np.cumsum(self._floats), rng.random(count)).astype(
+            np.min_scalar_type(len(self.components) - 1))
         x = np.empty(count)
         y = np.empty(count)
         for ci, comp in enumerate(self.components):
-            mask = pick == ci
-            m = int(mask.sum())
-            if m:
-                x[mask], y[mask] = comp.sample_xy(rng, m)
+            idx = np.flatnonzero(pick == ci)
+            if len(idx):
+                x[idx], y[idx] = comp.sample_xy(rng, len(idx))
         return x, y
 
     def cdf_float(self, xs, ys) -> np.ndarray:
@@ -954,9 +957,11 @@ def discrepancy_permuton(mu: Permuton, resolution: int) -> PermutonDiscrepancy:
     """max |lambda(A x B) - mu(A x B)| over grid interval pairs (lower bound
     converging to d(mu)), plus 4 max|F - F_lambda| at the grid corners and
     its certified upper bound (see PermutonDiscrepancy)."""
+    if not isinstance(resolution, (int, np.integer)):
+        raise PermutonError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise PermutonError("resolution must be >= 2")
-    r = resolution
+    r = int(resolution)
     ticks = np.linspace(0.0, 1.0, r + 1)
     D = cdf_grid(mu, r) - np.outer(ticks, ticks)
     sup_dev = float(np.abs(D).max())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -714,6 +715,20 @@ def test_permuton_discrepancy_matches_flat_grid():
 def test_permuton_discrepancy_uniform_is_tiny():
     res = discrepancy_permuton(uniform(), 64)
     assert res.lower < 1e-12
+
+
+@pytest.mark.parametrize("resolution", [10.0, 2.5, "10", F(10)])
+def test_permuton_discrepancy_refuses_non_integer_resolutions(resolution):
+    # 10.0 raised a TypeError from inside np.linspace
+    with pytest.raises(PermutonError, match=re.escape(f"must be an integer, got {resolution!r}")):
+        discrepancy_permuton(uniform(), resolution)
+
+
+def test_permuton_discrepancy_takes_numpy_integer_resolutions():
+    mu = m_set(F(1, 2))
+    want = discrepancy_permuton(mu, 12)
+    for r in (np.int64(12), np.int32(12), np.uint8(12)):
+        assert discrepancy_permuton(mu, r) == want
 
 
 @pytest.mark.parametrize("mu, lower", [
