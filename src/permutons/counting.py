@@ -8,17 +8,18 @@ arXiv:1911.01414), and ``profile(tau, k)`` reads its k-th table.
 (the S_n search scores its rows with it) into every table with r <= 3:
 occ(12) is their sum (``low_profiles``), the 3-table their ``three_counts``.
 A host's count is ``_left_smaller_perm``, an O(n log n) bottom-up merge
-sort whose int64 keys carry each element's count through every level, over
-base blocks counted by column comparisons.  k = 4 solves for the 24
-4-counts from 24 sums over each point's four quadrant counts, which the
-same count gives: fourteen stars, in O(n); nine two-node corner trees; and
-sum_{j < k} Q R, the one dimension outside the corner-tree span.  The
-ascending trees and Q R come from one O(n^2) sweep in blocks of 2-D tables
-(``_profile4``).  k = 5, 6 fall back to chunked subset enumeration
-(|tau| <= 60), tallied by ``np.bincount`` of ``pattern_index``, the
-row-to-pattern index built from pairwise column comparisons (the Monte
-Carlo histogram reads the same index straight from its draws,
-``measures._pattern_rows``).
+sort over unpadded rows, in O(n) memory: keys value | flag | count carry
+each element's count through every level, as uint32 while the count field
+holds the level, then as int64, over base blocks counted by column
+comparisons.  k = 4 solves for the 24 4-counts from 24 sums over each
+point's four quadrant counts, which the same count gives: fourteen stars,
+in O(n); nine two-node corner trees; and sum_{j < k} Q R, the one
+dimension outside the corner-tree span.  The ascending trees and Q R come
+from one O(n^2) sweep in blocks of 2-D tables (``_profile4``).  k = 5, 6
+fall back to chunked subset enumeration (|tau| <= 60), tallied by
+``np.bincount`` of ``pattern_index``, the row-to-pattern index built from
+pairwise column comparisons (the Monte Carlo histogram reads the same
+index straight from its draws, ``measures._pattern_rows``).
 ``profile_naive`` is the independent oracle used by the test suite; the fast
 paths must agree with it exactly.
 
@@ -151,6 +152,7 @@ def profile_naive(tau: Sequence[int], k: int) -> Dict[Pattern, int]:
 
 
 _BASE = 16
+_KEY32_BITS = 32             # bits the lower merge levels' uint32 keys use
 _BROADCAST_CELLS = 1 << 14   # entries per _block_counts broadcast
 _SWEEP_CELLS = 1 << 15       # entries per block of the 4-profile sweep
 
@@ -165,71 +167,82 @@ def _broadcast_counts(rows: np.ndarray) -> np.ndarray:
 
 
 def _block_counts(rows: np.ndarray) -> np.ndarray:
-    """_broadcast_counts by pairwise column comparisons over a contiguous
-    copy of the columns, as in pattern_index: w(w - 1)/2 numpy calls, each
-    over every row.  A batch whose broadcast holds at most _BROADCAST_CELLS
-    entries takes the broadcast, which costs less than that many calls.
+    """_broadcast_counts by column comparisons over a contiguous copy of the
+    columns, as in pattern_index: w - 1 numpy calls, each comparing one
+    column with all earlier ones over every row, counted in the rows' dtype
+    (uint32 merge keys count at half the int64 cost).  A batch whose
+    broadcast holds at most _BROADCAST_CELLS entries takes the broadcast,
+    which costs less than those calls and counts in int64.
     """
     m, w = rows.shape
     if m * w * w <= _BROADCAST_CELLS:
         return _broadcast_counts(rows)
     cols = np.ascontiguousarray(rows.T)
-    out = np.zeros(cols.shape, dtype=np.int64)
+    out = np.zeros_like(cols)
     for j in range(1, w):
-        for i in range(j):
-            out[j] += cols[i] < cols[j]
+        (cols[:j] < cols[j]).sum(axis=0, out=out[j])
     return out.T
+
+
+def _rows(a: np.ndarray, width: int) -> list:
+    """The nonempty of a's full rows of width entries (one view) and tail row."""
+    full = len(a) - len(a) % width
+    return [r for r in (a[:full].reshape(-1, width), a[full:].reshape(1, -1)) if r.size]
 
 
 def _left_smaller_perm(v: np.ndarray) -> np.ndarray:
     """left_smaller_counts of v, a permutation of 1..n as int64 (perm_array).
 
-    Bottom-up merge sort over positions, padded to size = 2^b with the
-    values n + 1..size: blocks of _BASE by _block_counts, then sorted runs
-    double each level.  Each element is one int64 key, packed as
-    value | flag | count + size, with the flag at bit b + 1, so the count
-    rides through every sort.  Before a level's sort the left run's keys
-    get the flag, so an equal left value would sort behind, and the right
-    run's lose their in-run rank r.  After it each right-run key gains its
-    index t in the merged run: its count has gained t - r, the left-run
-    elements ahead of it.  The last run is sorted by value, so the count at
-    index i is value i + 1's.  Keys take 2b + 3 <= 63 bits.  Memory: four
-    int64 arrays of the padded size.
+    Bottom-up merge sort over positions without padding: each level sorts
+    its full rows of 2w and one shorter tail row.  n <= 128 is one
+    _block_counts call.  Otherwise each element is one key v - 1 | flag |
+    count, so the count rides through every sort: blocks of _BASE gain
+    their _block_counts (the values order the keys alike) and are sorted,
+    then sorted runs of w merge pairwise.  Before a level's sort the right
+    run's r-th key gains the flag and w - 1 - r; after it a flagged key at
+    merged index t gains t - (w - 1) and loses the flag: t - r in all, the
+    left-run keys ahead of it, and a count field holds at most 2w - 1.
+    With b the bit length of n - 1, the keys are uint32 with a 31 - b bit
+    field while 2w fits it (w = 16..8192 at n = 10^5; the base blocks
+    alone for 2^26 < n <= 2^27, nothing beyond), then repacked once into
+    int64 with a b + 1 bit field, 2b + 2 <= 62 bits.  uint32 rows sort
+    fastest by numpy's default sort, int64 rows (two sorted runs) by its
+    stable merge.  The last run is sorted by value: index i holds value
+    i + 1's count.  Memory: O(n).  The int64 levels hold the keys, a gain
+    and an index array (8n bytes each) beside the last uint32 keys (4n);
+    the closing gather adds 16n: a traced peak of 44n bytes at n = 10^5.
     """
     n = len(v)
     if n > 1 << 30:
         raise ValueError("left_smaller_counts: n > 2^30 overflows int64 keys")
-    size = 1 << max(n - 1, 0).bit_length()
-    w = min(_BASE, size)
-    keys = np.arange(1, size + 1, dtype=np.int64)   # padding right of every value
-    keys[:n] = v
-    counts = _block_counts(keys.reshape(-1, w))
-    if w == size:                                    # one block, no merge level
-        return counts.ravel()[:n]
-    flag = 2 * size                                  # bit b + 1, above count + size
-    keys *= 2 * flag
-    keys += size
-    blocks = keys.reshape(-1, w)
-    blocks += counts
-    blocks.sort(axis=1)
-    t = np.arange(size, dtype=np.int64)
-    gain = np.empty_like(keys)
-    while w < size:
-        runs = keys.reshape(-1, 2 * w)
-        runs[:, :w] |= flag
-        runs[:, w:] -= t[:w]
-        runs.sort(axis=1)                            # the values are distinct
-        g = gain.reshape(runs.shape)
-        np.bitwise_and(runs, flag, out=g)            # flag in the left run
-        runs -= g
-        g ^= flag                                    # flag in the right run
-        g >>= size.bit_length()                      # 1 in the right run
-        g *= t[:2 * w]
-        runs += g
+    if n * n <= _BROADCAST_CELLS:                    # one broadcast, n <= 128
+        return _block_counts(v.reshape(1, n))[0]
+    bits = (n - 1).bit_length()
+    field, dtype = _KEY32_BITS - 1 - bits, np.uint32
+    if 1 << field < _BASE:                           # no room for the block counts
+        field, dtype = bits + 1, np.int64
+    keys = (v - 1).astype(dtype) << (field + 1)      # value | flag | count
+    for rows in _rows(keys, _BASE):
+        np.add(rows, _block_counts(rows), out=rows, casting="unsafe")
+        rows.sort(axis=1)
+    gain, w = np.empty_like(keys), _BASE
+    while w < n:
+        if 2 * w > 1 << field:                       # the uint32 field is full
+            keys = (keys >> (field + 1)).astype(np.int64) << (bits + 2) | keys & ((1 << field) - 1)
+            field, gain = bits + 1, np.empty(n, dtype=np.int64)
+        flag = keys.dtype.type(1 << field)
+        down = np.arange(min(2 * w, n), dtype=keys.dtype) - (flag + w - 1)  # wraps in uint32
+        for runs, g in zip(_rows(keys, 2 * w), _rows(gain, 2 * w)):
+            if runs.shape[1] > w:                    # a tail of at most w is one run
+                runs[:, w:] -= down[:runs.shape[1] - w]
+                runs.sort(axis=1, kind="stable" if keys.dtype == np.int64 else None)
+                np.bitwise_and(runs, flag, out=g)
+                g >>= field                          # 1 in the right run
+                g *= down[:runs.shape[1]]
+                runs += g
         w *= 2
-    keys &= flag - 1
-    keys -= size
-    return keys[v - 1]
+    keys &= (1 << field) - 1
+    return keys[v - 1].astype(np.int64, copy=False)
 
 
 def _ranks(a: np.ndarray) -> np.ndarray:

@@ -147,11 +147,14 @@ def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
     """Best interval pair with endpoints among the cuts 0 and
     ceil(i n / r), i = 1..r; at r = n that is every pair, so exact.
 
-    Q[i, j] = n * #{p < cuts[i] : v_p <= cuts[j]} - cuts[i] * cuts[j] comes
-    from one 2-D histogram of (position, value) cut buckets and two
-    cumulative sums.  For position cuts a1 < a2 the best value interval is
-    the spread of P = Q[a2] - Q[a1], which ``box_spread`` sweeps.  Q and
-    every spread lie in [-2n^2, 2n^2], so Q is int32 while 2n^2 < 2^31.
+    Q[i, j] = n * #{p < cuts[i] : v_p <= cuts[j]} - cuts[i] * cuts[j] is
+    the 2-D cumulative sum of n H[i, j] - d_i d_j, H the histogram of
+    (position, value) cut buckets and d the bucket widths, built in Q's
+    dtype about _BLOCK_CELLS entries (a block of rows, whose positions are
+    contiguous) at a time.  For position cuts a1 < a2 the best value
+    interval is the spread of P = Q[a2] - Q[a1], which ``box_spread``
+    sweeps.  Q and every spread lie in [-2n^2, 2n^2], so Q is int32 while
+    2n^2 < 2^31.
     """
     n = len(v)
     r = min(resolution, n)
@@ -160,12 +163,18 @@ def _discrepancy_grid(v: np.ndarray, resolution: int) -> DiscrepancyResult:
     row = np.searchsorted(cuts, np.arange(n), side="right")
     col = np.searchsorted(cuts, v, side="left")
     dt = _int_dtype(2 * n * n)
-    Q = np.bincount(row * m + col, minlength=m * m).astype(dt).reshape(m, m)
+    d = cuts.astype(dt)
+    d[1:] -= cuts[:-1]
+    rows = max(1, _BLOCK_CELLS // m)
+    ends = np.searchsorted(row, np.arange(0, m + rows, rows))  # first position per block
+    Q = np.empty((m, m), dtype=dt)
+    for i, lo, hi in zip(range(0, m, rows), ends, ends[1:]):
+        blk = Q[i:i + rows]
+        blk[:] = np.bincount((row[lo:hi] - i) * m + col[lo:hi], minlength=blk.size).reshape(-1, m)
+        blk *= n
+        blk -= d[i:i + rows, None] * d
     np.cumsum(Q, axis=0, dtype=dt, out=Q)
     np.cumsum(Q, axis=1, dtype=dt, out=Q)
-    Q *= n
-    c = cuts.astype(dt)
-    Q -= np.outer(c, c)
     best = int(box_spread(Q))
     lower = best / n**2
     step = math.ceil(n / r)

@@ -49,8 +49,8 @@ def _left_smaller_loop(values):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 16, 17, 31, 32, 33, 64, 65, 1000])
 def test_left_smaller_counts_matches_double_loop(n):
-    # one broadcast block up to 16 positions, then merge levels over a
-    # power-of-two padding
+    # one broadcast up to 128 positions, then merge levels over unpadded
+    # rows
     rng = np.random.default_rng(n)
     for _ in range(3):
         tau = tuple(int(v) + 1 for v in rng.permutation(n))
@@ -84,8 +84,8 @@ def test_block_counts_match_double_loop_at_every_width(w):
 
 @pytest.mark.parametrize("k", range(18))
 def test_left_smaller_counts_around_powers_of_two(k):
-    # the merge pads to a power of two: one below, at and one above 2^k,
-    # through the public ranking and through the kernel profile uses
+    # the merge rows change shape at powers of two: one below, at and one
+    # above 2^k, through the public ranking and through the kernel profile uses
     rng = np.random.default_rng(100 + k)
     for n in {max(2**k - 1, 1), 2**k, 2**k + 1}:
         tau = rng.permutation(n) + 1
@@ -94,6 +94,119 @@ def test_left_smaller_counts_around_powers_of_two(k):
         assert got.tolist() == left_smaller_counts(tau).tolist()
         for j in rng.integers(0, n, 20):
             assert got[j] == int((tau[:j] < tau[j]).sum())
+
+
+def _left_smaller_oracle(tau):
+    # the O(n^2) comparison table, for the lengths where it is cheap
+    below = tau[None, :] < tau[:, None]
+    return np.tril(below, -1).sum(axis=1)
+
+
+def _check_left_smaller(tau, positions):
+    # the whole count against the oracle up to n = 2048, else at positions
+    got = counting._left_smaller_perm(tau)
+    assert got.dtype == np.int64 and len(got) == len(tau)
+    if len(tau) <= 2048:
+        assert got.tolist() == _left_smaller_oracle(tau).tolist()
+    for j in positions:
+        assert got[j] == int((tau[:j] < tau[j]).sum()), j
+
+
+def _tail_lengths(w):
+    # lengths whose last row of 2w at width w is empty, shorter than w,
+    # exactly w, or between w and 2w, after one or two full rows
+    return [q * 2 * w + t for q in (1, 2) for t in (0, w // 2 + 1, w, w + w // 2 + 1)]
+
+
+@pytest.mark.parametrize("w", [2**k for k in range(4, 17)])
+def test_left_smaller_counts_at_every_tail_shape(w):
+    rng = np.random.default_rng(w)
+    for n in _tail_lengths(w):
+        tau = rng.permutation(n) + 1
+        full = n - n % (2 * w)
+        edges = range(max(full - 3, 0), min(full + 4, n))    # last full row, tail row
+        _check_left_smaller(tau, [*edges, n - 1, *rng.integers(0, n, 10)])
+
+
+def _first_int64_width(n, key_bits=32):
+    # the kernel's rule: uint32 keys with a key_bits - 1 - b bit count field
+    # (b the bit length of n - 1) while a level's 2w fits it, int64 keys from
+    # the first width w < n where it does not; 0 when the block counts do
+    # not fit either, None when no level runs in int64
+    field = key_bits - 1 - (n - 1).bit_length()
+    if 2**field < counting._BASE:
+        return 0
+    w = counting._BASE
+    while 2 * w <= 2**field:
+        w *= 2
+    return w if w < n else None
+
+
+def _handoff_lengths(limit, key_bits=32):
+    # every n > 128 up to limit at which _first_int64_width changes: it can
+    # change only where the bit length of n - 1 does or n passes a width,
+    # both at n = 2^k + 1
+    return [2**k + 1 for k in range(7, limit.bit_length()) if 2**k < limit and
+            _first_int64_width(2**k + 1, key_bits) != _first_int64_width(2**k, key_bits)]
+
+
+def _level_dtypes(monkeypatch):
+    # the dtype of the keys at each merge level w, as the kernel hands them
+    # (and the gain array of the same dtype) to _rows
+    seen = {}
+    real = counting._rows
+
+    def spy(a, width):
+        if width > counting._BASE:
+            seen[width // 2] = a.dtype
+        return real(a, width)
+    monkeypatch.setattr(counting, "_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize("key_bits", [32, 24, 20])
+def test_left_smaller_counts_around_each_uint32_to_int64_handoff(key_bits, monkeypatch):
+    # one below, at and one above each length where the first int64 level
+    # moves, by the kernel's rule; narrower uint32 keys (24, 20 bits) bring
+    # the hand-offs of n near 2^26 and past 2^27 (base blocks only in
+    # uint32, then none) down to lengths a test can run
+    monkeypatch.setattr(counting, "_KEY32_BITS", key_bits)
+    seen = _level_dtypes(monkeypatch)
+    limit = 2**17 + 2 if key_bits == 32 else 2**15 + 2
+    handoffs = _handoff_lengths(limit, key_bits)
+    assert len(handoffs) >= 3
+    if key_bits == 32:
+        assert handoffs == [2**15 + 1, 2**16 + 1, 2**17 + 1]
+    rng = np.random.default_rng(key_bits)
+    for n in sorted({m for h in handoffs for m in (h - 1, h, h + 1)}):
+        seen.clear()
+        tau = rng.permutation(n) + 1
+        _check_left_smaller(tau, [0, n // 2, n - 1, *rng.integers(0, n, 10)])
+        first = _first_int64_width(n, key_bits)
+        for w, dtype in seen.items():
+            assert dtype == (np.int64 if first is not None and w >= first else np.uint32), (n, w)
+        assert list(seen) == [2**k for k in range(4, (n - 1).bit_length())]
+
+
+def test_merge_keys_fit_their_dtypes():
+    # pure arithmetic, for every bit length b = 4..30 of n - 1: the largest
+    # uint32 key (value n - 1, flag, and the largest field: w - 1 - r added
+    # to a count of at most w - 1 before a sort, at most 2w - 1 after, for
+    # the widest uint32 level) stays below 2^32, and the largest int64 key
+    # below 2^63
+    for b in range(4, 31):
+        n = 2**b
+        field = 31 - b
+        first = _first_int64_width(n)
+        if first != 0:
+            widest = (first or n) // 2                     # the last uint32 level
+            top = max(counting._BASE - 1, 2 * widest - 1)
+            assert top < 2**field
+            assert ((n - 1) << (field + 1)) + (1 << field) + top < 2**32, b
+        field = b + 1
+        top = 2 * (n // 2) - 1                             # the widest level, w = n/2
+        assert top < 2**field
+        assert ((n - 1) << (field + 1)) + (1 << field) + top < 2**63, b
 
 
 @settings(max_examples=200, deadline=None)

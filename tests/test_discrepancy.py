@@ -269,3 +269,24 @@ def test_corner_sweep_peaks_under_two_int64_tables(n, mode, r):
     tau = np.random.default_rng(n).permutation(n) + 1
     m = r + 1
     assert _traced_peak(lambda: discrepancy(tau, mode=mode, resolution=r)) <= 16 * m * m
+
+
+@pytest.mark.parametrize("n, r", [(298, 298), (301, 36), (500, 120)])
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_corner_table_in_row_blocks_of_any_height(n, r, rows, monkeypatch):
+    # the histogram and the cut products are laid down a block of rows at a
+    # time; blocks of 1, 2 and 7 rows (the last one partial at every m here,
+    # several positions per cut bucket when r < n) against the int64 oracle
+    m = r + 1
+    assert m % rows or rows == 1
+    monkeypatch.setattr(discrepancy_mod, "_BLOCK_CELLS", rows * m)
+    v = np.random.default_rng(n + rows).permutation(n) + 1
+    assert discrepancy(v, mode="grid", resolution=r).numerator == _grid_numerator(v, r)
+
+
+def test_exact_corner_table_peaks_under_two_int32_tables():
+    # Q is built in its own int32 dtype, a block of rows at a time: no int64
+    # histogram beside it (49.19 MB at n = 2000 when there was one)
+    n = EXACT_MAX_N
+    tau = np.random.default_rng(n).permutation(n) + 1
+    assert _traced_peak(lambda: discrepancy(tau, mode="exact")) <= 2 * 4 * (n + 1) ** 2
