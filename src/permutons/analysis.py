@@ -77,8 +77,9 @@ class Budget:
     mode: str = "auto"  # auto | exact | mc
 
     def __post_init__(self) -> None:
-        if self.samples < 1 or self.resolution < 2:
-            raise AnalysisError("budget needs samples >= 1 and resolution >= 2")
+        integers = all(isinstance(x, (int, np.integer)) for x in (self.samples, self.resolution))
+        if not integers or self.samples < 1 or self.resolution < 2:
+            raise AnalysisError("budget needs integer samples >= 1 and resolution >= 2")
         if self.mode not in ("auto", "exact", "mc"):
             raise AnalysisError(f"unknown mode {self.mode!r}")
 

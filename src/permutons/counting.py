@@ -11,11 +11,9 @@ A host's count is ``_left_smaller_perm``, an O(n log n) bottom-up merge
 sort over unpadded rows, in O(n) memory: keys value | flag | count carry
 each element's count through every level, as uint32 while the count field
 holds the level, then as int64, over base blocks counted by column
-comparisons.  k = 4 solves for the 24 4-counts from 24 sums over each
-point's four quadrant counts, which the same count gives: fourteen stars,
-in O(n); nine two-node corner trees; and sum_{j < k} Q R, the one
-dimension outside the corner-tree span.  The ascending trees and Q R come
-from one O(n^2) sweep in blocks of 2-D tables (``_profile4``).  k = 5, 6
+comparisons.  k = 4 solves for the 4-counts from 24 sums over each point's
+quadrant counts (``_profile4``), chosen with their integer solve at import
+from the candidate sums' own values on S_1..S_4 (``_derive_solve``).  k = 5, 6
 fall back to chunked subset enumeration (|tau| <= 60), tallied by
 ``np.bincount`` of ``pattern_index``, the row-to-pattern index built from
 pairwise column comparisons (the Monte Carlo histogram reads the same
@@ -23,10 +21,8 @@ index straight from its draws, ``measures._pattern_rows``).
 ``profile_naive`` is the independent oracle used by the test suite; the fast
 paths must agree with it exactly.
 
-``profile`` and ``profiles`` count in Python ints (the numpy accumulators
-stay below 2^63 for n <= 10^4: the largest is bounded by n^4 < 2^54, the
-k = 4 solve by 2^57, and each k = 4 block sums at most 2^15 products of
-at most n^2, exactly in float64).
+``profile`` and ``profiles`` count in Python ints; every numpy accumulator
+stays below 2^63 for n <= 10^4 (``_profile4``, ``_sweep4``).
 ``_check_exact_size`` is the one table of the sizes the engines take:
 k <= 6, |tau| <= 60 for k = 5, 6, PROFILE4_MAX_N = 10^4 for k = 4 and
 PROFILE3_MAX_N = 3 * 10^6 for k = 3 (C(n, 3) passes 2^63 near 3.8 * 10^6).
@@ -38,7 +34,7 @@ Larger requests are refused with ``PermError`` before any work, and
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, islice, permutations, product
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -313,62 +309,7 @@ def dominance_profiles(v: np.ndarray, a: np.ndarray, k: int) -> dict:
     return tables
 
 
-# The 4-table is read off 24 sums over the quadrant counts of each point j:
-# LB, LA, RB, RA = #{i < j : v_i < v_j}, #{i < j : v_i > v_j},
-# #{i > j : v_i < v_j}, #{i > j : v_i > v_j} (index 0..3 below).
-# Fourteen star sums, sum_j prod_q C(quadrant q of j, m_q), one per
-# exponent row m of _STARS (the first fourteen of the twenty with
-# m_LB + m_LA + m_RB + m_RA = 3 that add rank over S_4, in
-# lexicographic order);
-_STARS = np.array([(0, 0, 0, 3), (0, 0, 1, 2), (0, 0, 2, 1), (0, 0, 3, 0),
-                   (0, 1, 0, 2), (0, 1, 1, 1), (0, 1, 2, 0), (0, 2, 0, 1),
-                   (0, 2, 1, 0), (1, 0, 0, 2), (1, 0, 1, 1), (1, 1, 0, 1),
-                   (1, 1, 1, 0), (2, 0, 0, 1)])
-# eight ascending and one descending two-node corner tree,
-# sum over j < k with v_j < v_k (v_j > v_k) of f(j) g(k), per quadrant pair
-# (f, g);
-_ASC_TREES = np.array([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)])
-_DESC_TREES = np.array([(0, 0)])
-# and the one sum outside the corner-tree span, sum_{j < k} Q R with
-# Q = #{i < j : v_i < v_k} and R = #{j < p <= k : v_p < v_j}.
-# Row pi of _SOLVE holds det * N4(pi) as an integer combination of the 24
-# sums (stars, ascending trees, descending tree, QR, in that order) and the
-# six 3-counts of all_patterns(3): its first 24 columns are the adjugate of
-# the sums' coefficients over S_4 (det is their determinant), and the last
-# six cancel the sums' 3-point parts (none has a 2-point part).
-# tests/test_counting.py derives both from profile_naive.
-_SOLVE_DET = -2
-_SOLVE = np.array([row.split()[1:] for row in """
-1234  0  0  0  0  0  0  0  0  0 -4 -2 -2  0 -4  2  2  2  0  0  0  0  0  0  0 -4  0  0  0  0  0
-1243  0  0  0  0  0  0  0  0  0  2  2  2  0  4 -2 -2 -2  0  0  0  0  0  0  0  4  0  0  0  0  0
-1324  1  1  1  0  1  0 -1  3  1  2  1  2  0  3 -2 -1 -2 -1 -1  0  0 -1  0 -1  4  1  2  1  2  0
-1342 -1  1  1  0  1  2 -1 -1  1  2  1  0  0 -1  0  1 -2 -1  1 -2  0 -1  0  1  0 -1  2  1  0  0
-1423 -1 -1 -1  0  3  2  1  1 -1  2  1  0  0 -1  0 -1  0 -1 -1 -2  0  1  0  1  0 -1  2 -1  2  0
-1432 -1 -1 -1  0 -5 -4  1 -3 -1 -4 -3 -2  0 -1  2  1  4  3  1  4  0  1  0 -1 -4  1 -6 -1 -4  0
-2134  0  0  0  0  0  0  0  0  0  4  2  2  0  2 -2 -2 -2  0  0  0  0  0  0  0  4  0  0  0  0  0
-2143  2  2  4  6 -6 -6 -2 -4 -4 -8 -6 -6 -2 -6  4  2  4  2  0  2  0  0  0  0 -8  0 -4  0 -2  0
-2314 -1 -1 -1  0 -1  0  1 -3 -1  0 -1  0  0  1  0 -1  2  1  1  0  0  1  0  1  0 -1 -2 -1 -2  0
-2341  1 -1 -1  0 -1 -2  1  1 -1 -4 -3 -2  0 -3  2  1  2  1 -1  2  0  1  0 -1 -4  1 -2 -1  0  0
-2413 -1 -1 -1 -4  3  4  1  1  3  4  5  2  2  3 -2  1 -4 -1  1 -2  0 -1  0 -1  4  1  2  1  0  0
-2431 -1 -1 -1 -2  5  4 -1  5  3  4  3  4  0  3 -2 -1 -2 -3 -1 -2  0 -1  0  1  4 -1  6  1  4  0
-3124 -1 -1 -1  0 -1  0  1 -3 -1  0  1 -2  0  1  0  1  0  1  1  0  0  1  0  1  0 -1 -2 -1 -2  0
-3142 -1 -3 -7 -4  5  4 -1  7  5  4  1  6  2  3 -2 -1 -2 -3 -1 -2  2  1  0 -1  4  1  2 -3  4  0
-3214  3  3  3  4 -1 -2 -3  1 -1 -4 -3 -2 -2 -5  2  1  0 -1 -1  0  0 -1  0 -1 -4  1  2  1  2  0
-3241 -3 -1  1 -4  1  2  3 -1  1  4  5  2  2  5 -2 -1  0  1  1  0 -2 -1  0  1  4 -1  2  3 -2  0
-3412  0  0  0 -4  0  0  4  0  0  0  0  0  0  0  0  0  4  2  0  4 -2  0 -2  0  0  2  0  2 -2  0
-3421  2  2  2  8 -4 -4 -4 -4 -4 -4 -4 -4 -2 -4  2  0 -2  0  0 -2  2  0  2  0 -4 -2 -4 -2  0  0
-4123  1  1  1  0 -3 -2 -1 -1  1 -4 -3 -2  0 -3  2  1  2  1  1  2  0 -1  0 -1 -4  1 -2  1 -2  0
-4132 -1  1  3 -2  3  4  3  1 -1  4  5  2  0  3 -2 -1 -2 -1 -1 -2 -2 -1  0  1  4 -1  6  3  2  0
-4213 -3 -3 -3 -4  3  2  3  3  1  4  3  4  2  5 -2 -1  0 -1 -1  0  0  1  0  1  4 -1  2 -1  2  0
-4231  3  1 -1  4 -3 -4 -3 -3 -1 -4 -5 -4 -2 -5  2  1  0  1  1  0  2  1  0 -1 -4  1 -6 -3 -2  0
-4312  2  2  2  8 -4 -4 -6 -4 -2 -4 -4 -4 -2 -4  2  0 -2  0  0 -2  2  0  2  0 -4 -2 -4 -2  0  0
-4321 -2 -2 -2 -8  4  4  4  4  2  4  4  4  2  4 -2  0  2  0  0  2 -2  0 -2  0  4  2  4  2  0  0
-""".split("\n")[1:-1]], dtype=np.int64)
-
-
 _P3, _P4 = all_patterns(3), all_patterns(4)
-
-
 # occ(sigma, pi), sigma in S_3 (rows) and pi in S_4 (columns).  Each
 # occurrence of sigma in tau lies in n - 3 four-point sets, so
 # sum_pi occ(sigma, pi) N4(pi) = (n - 3) N3(sigma).
@@ -382,7 +323,7 @@ def _relation_gaps(four: Sequence[int], three: Sequence[int], n: int) -> np.ndar
 
 
 def _sweep4(v: np.ndarray, quads: np.ndarray) -> Tuple[np.ndarray, int]:
-    """The O(n^2) part of _profile4: the ascending two-node trees
+    """The O(n^2) part of _candidate_sums: the ascending two-node trees
     T[f, g] = sum over j < k, v_j < v_k of quads[f, j] quads[g, k], and
     sum_{j < k} Q R.
 
@@ -412,8 +353,7 @@ def _sweep4(v: np.ndarray, quads: np.ndarray) -> Tuple[np.ndarray, int]:
     corner = span[:, :rows]                          # k - j in the block's first columns
     upper, strict = corner > 0, corner > 1           # k > j; for asc R^T, i < j
     trees = np.zeros((4, 4), dtype=np.int64)
-    qr = 0
-    q_run = np.zeros(n)
+    qr, q_run = 0, np.zeros(n)
     for j0 in range(0, n - 1, rows):
         b, m = min(rows, n - 1 - j0), n - 1 - j0
         asc = (v[j0 + 1:] > v[j0:j0 + b, None]).astype(float)
@@ -427,50 +367,90 @@ def _sweep4(v: np.ndarray, quads: np.ndarray) -> Tuple[np.ndarray, int]:
     return trees, qr
 
 
-def _profile4(v: np.ndarray, c_self: np.ndarray, three: Dict[Pattern, int]) -> Dict[Pattern, int]:
-    """O(n^2) 4-pattern table of v, n >= 4, from its left-smaller counts
-    c_self and its 3-profile three.
+# The 4-table is read off sums over the quadrant counts LB, LA, RB, RA of
+# each point j (index 0..3): #{i < j : v_i < v_j}, #{i < j : v_i > v_j},
+# #{i > j : v_i < v_j}, #{i > j : v_i > v_j}.  The 53 candidates of
+# _candidate_sums are the 20 stars sum_j prod_q C(quadrant q of j, m_q), m
+# a row of _EXPONENTS (sum 3, lexicographic); the 16 ascending, then 16
+# descending, two-node corner trees, the sum over j < k with v_j < v_k
+# (v_j > v_k) of f(j) g(k), (f, g) a row of _PAIRS; and sum_{j < k} Q R,
+# Q = #{i < j : v_i < v_k}, R = #{j < p <= k : v_p < v_j}.  _derive_solve
+# keeps 24 at import (_KEPT; _STARS, _ASC_TREES, _DESC_TREES name them) and
+# builds _SOLVE: row pi is _SOLVE_DET * N4(pi) in the kept sums and the
+# 3-counts.  tests/test_counting.py derives both again from profile_naive.
+_EXPONENTS = np.array([m for m in product(range(4), repeat=4) if sum(m) == 3])
+_PAIRS = np.array(list(product(range(4), repeat=2)))
 
-    Each of the 24 sums (_STARS, _ASC_TREES, _DESC_TREES and Q R) is an
-    integer combination of the 4-counts N4 and the 3-counts, and their
-    coefficients over S_4 are independent, so det * N4 = _SOLVE (sums,
-    3-counts), divided exactly by det.  A star sum counts each quadruple
-    once per point whose quadrants hold the other three as its exponents
-    say; it needs only each point's quadrant counts, LB = c_self and LA,
-    RB, RA by subtraction, in O(n).  The 20 stars have rank 14 over S_4 and
-    hold the six 3-profile relations; the two-node corner trees of
-    Even-Zohar and Leng (arXiv:1911.01414) raise the rank to 23, and Q R,
-    in the dimension that Dudek and Gawrychowski (2020) tie to counting
-    4-cycles, to 24.  A descending tree is its unmasked prefix product
-    sum_{j < k} f(j) g(k), in O(n), less the ascending one; the ascending
-    trees and Q R come from one O(n^2) sweep (_sweep4).
 
-    Exactness: the stars and prefix products are int64 sums of nonnegative
-    terms below n^4 < 2^63.  Each sum is at most 3 C(n, 4) + 2 C(n, 3) (its
-    coefficients are at most 3 over S_4 and 2 over S_3), and each row of
-    _SOLVE has absolute sum at most 92, so the solve stays below 2^57 for
-    n <= PROFILE4_MAX_N.  A remainder, or a table that breaks one of the
-    six relations sum_pi occ(sigma, pi) N4(pi) = (n - 3) N3(sigma), raises
-    RuntimeError.
-    """
+def _candidate_sums(v: np.ndarray, c_self: np.ndarray) -> np.ndarray:
+    """The 53 candidate sums of v, a permutation of 1..n as int64, with
+    left-smaller counts c_self: stars in O(n), descending trees as the
+    prefix products sum_{j < k} f(j) g(k) less the ascending ones, which
+    come with Q R from one O(n^2) sweep (_sweep4)."""
     n = len(v)
     j = np.arange(n, dtype=np.int64)
     rb = v - 1 - c_self
     quads = np.stack((c_self, j - c_self, rb, n - 1 - j - rb))      # LB, LA, RB, RA
-    binom = np.empty((4,) + quads.shape, dtype=np.int64)            # C(quads, 0..3)
-    binom[0] = 1
-    binom[1] = quads
-    binom[2] = quads * (quads - 1) // 2
-    binom[3] = binom[2] * (quads - 2) // 3
+    pairs = quads * (quads - 1) // 2
+    binom = np.stack((np.ones_like(quads), quads, pairs, pairs * (quads - 2) // 3))
     trees, qr = _sweep4(v, quads)
-    f, g = _DESC_TREES.T
-    unmasked = (np.cumsum(quads[f, :-1], axis=1) * quads[g, 1:]).sum(axis=1)
+    unmasked = np.cumsum(quads[:, :-1], axis=1) @ quads[:, 1:].T
+    return np.concatenate((binom[_EXPONENTS, range(4)].prod(axis=1).sum(axis=1),
+                           trees.ravel(), (unmasked - trees).ravel(), (qr,)))
+
+
+def _derive_solve() -> Tuple[np.ndarray, int, np.ndarray]:
+    """(kept, det, solve) of _profile4 from the candidates' values on every
+    pattern of length 1..4.  A sum with no 1- or 2-point part (zero on S_1,
+    S_2) takes values c_3 on S_3 and has coefficients c_4 = (its values on
+    S_4) - _OCC3_IN4^T c_3 over S_4.  The candidates whose c_4 leaves the
+    span of the earlier kept ones (Gram-Schmidt in float64) are kept; with
+    A, C their c_4, c_3 rows and adj = det A^-1 (the float inverse times
+    det, rounded), sums = A N4 + C N3 gives det N4 = adj sums - adj C N3.
+    RuntimeError unless 24 are kept, none has a 1- or 2-point part, and
+    adj A = det I exactly in int64 with det != 0."""
+    hosts = [np.array(p) for r in range(1, 5) for p in all_patterns(r)]
+    values = np.array([_candidate_sums(v, _left_smaller_perm(v)) for v in hosts])
+    low, c3, c4 = values[:3], values[3:9], values[9:] - _OCC3_IN4.T @ values[3:9]
+    kept, basis = [], np.zeros((0, len(_P4)))      # orthonormal rows spanning the kept c_4
+    for i, col in enumerate(c4.T.astype(float)):
+        rest = col - basis.T @ (basis @ col)
+        if rest @ rest > 1e-9 * (col @ col):         # outside the span, beyond rounding
+            kept, basis = kept + [i], np.vstack((basis, rest / np.sqrt(rest @ rest)))
+    if len(kept) != len(_P4) or low[:, kept].any():
+        raise RuntimeError("4-profile: no candidate basis free of 1- and 2-point parts")
+    A = c4[:, kept].T
+    det = round(np.linalg.det(A))
+    adj = np.rint(det * np.linalg.inv(A)).astype(np.int64)
+    if not det or not np.array_equal(adj @ A, det * np.eye(len(A), dtype=np.int64)):
+        raise RuntimeError("4-profile: the rounded adjugate is not exact")
+    return np.isin(np.arange(c4.shape[1]), kept), det, np.hstack((adj, -adj @ c3[:, kept].T))
+
+
+_KEPT, _SOLVE_DET, _SOLVE = _derive_solve()
+_STARS, _ASC_TREES, _DESC_TREES = (table[kept] for table, kept in zip(
+    (_EXPONENTS, _PAIRS, _PAIRS), np.split(_KEPT, [20, 36, 52])))
+
+
+def _profile4(v: np.ndarray, c_self: np.ndarray, three: Dict[Pattern, int]) -> Dict[Pattern, int]:
+    """O(n^2) 4-pattern table of v, n >= 4, from its left-smaller counts
+    c_self and its 3-profile three: det * N4 = _SOLVE (kept candidate sums,
+    3-counts), divided exactly by det.  The 20 stars have rank 14 over S_4
+    and hold the six 3-profile relations; the two-node corner trees of
+    Even-Zohar and Leng raise it to 23, and Q R, in the dimension that
+    Dudek and Gawrychowski (2020) tie to counting 4-cycles, to 24.
+
+    Exactness: the stars and prefix products are int64 sums of nonnegative
+    terms below n^4 < 2^63; each kept sum is at most 3 C(n, 4) + 2 C(n, 3)
+    (coefficients at most 3 over S_4, 2 over S_3) and each row of _SOLVE
+    has absolute sum at most 92, so the solve stays below 2^57 for
+    n <= PROFILE4_MAX_N.  A remainder, or a table that breaks a relation
+    sum_pi occ(sigma, pi) N4(pi) = (n - 3) N3(sigma), raises RuntimeError.
+    """
     counts3 = [three[sigma] for sigma in _P3]
-    sums = np.concatenate((binom[_STARS, range(4)].prod(axis=1).sum(axis=1),
-                           trees[_ASC_TREES[:, 0], _ASC_TREES[:, 1]],
-                           unmasked - trees[f, g], (qr,), counts3))
+    sums = np.concatenate((_candidate_sums(v, c_self)[_KEPT], counts3))
     four, rest = np.divmod(_SOLVE @ sums, _SOLVE_DET)
-    if rest.any() or _relation_gaps(four, counts3, n).any():
+    if rest.any() or _relation_gaps(four, counts3, len(v)).any():
         raise RuntimeError("4-profile breaks the 3-profile relations")
     return dict(zip(_P4, four.tolist()))
 

@@ -35,8 +35,8 @@ import numpy as np
 
 from .counting import PermError, perm_array
 
-# the (n+1)^2 corner table is 16 MB of int32 here (32 MB as int64); with the
-# int64 histogram it is cast from, the peak is 49 MB
+# the (n+1)^2 corner table is 16 MB of int32 here (32 MB as int64); built in
+# its own dtype a block of rows at a time, it peaks at 17.12 MB traced
 EXACT_MAX_N = 2000
 # the blocked sweep, one fresh process per run (2-vCPU Xeon, 5 runs each):
 # 0.19-0.21 s at 20,000, 0.38-0.89 s at 30,000 and 0.83-1.28 s here, against

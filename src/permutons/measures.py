@@ -61,6 +61,15 @@ def _frac(x) -> Fraction:
     raise PermutonError(f"expected a number, got {x!r}")
 
 
+def _check_resolution(r, least: int) -> int:
+    """r as an int, refused with PermutonError unless an integer >= least."""
+    if not isinstance(r, (int, np.integer)):
+        raise PermutonError(f"resolution must be an integer, got {r!r}")
+    if r < least:
+        raise PermutonError(f"resolution must be >= {least}")
+    return int(r)
+
+
 def _check_unit(a: Fraction, name: str) -> Fraction:
     if not 0 <= a <= 1:
         raise PermutonError(f"{name} = {a} outside [0, 1]")
@@ -905,8 +914,7 @@ class MarginalReport:
 def marginal_check(mu: Permuton, resolution: int, tol: float) -> MarginalReport:
     """Exact strip masses vs strip widths on both axes, r <=
     MARGINAL_MAX_RESOLUTION; reports the first largest deviation, x first."""
-    if resolution < 2:
-        raise PermutonError("resolution must be >= 2")
+    resolution = _check_resolution(resolution, 2)
     if resolution > MARGINAL_MAX_RESOLUTION:
         raise PermutonError(f"resolution {resolution} is over the limit "
                             f"MARGINAL_MAX_RESOLUTION = {MARGINAL_MAX_RESOLUTION}")
@@ -930,7 +938,7 @@ def cdf_grid(mu: Permuton, resolution: int) -> np.ndarray:
     One ``cdf_float`` call on the tick mesh; a grid permuton of size n
     costs O(n^2 + r^2) up to n = 511 and O(n^2 + r^2 log r) beyond.
     """
-    ticks = np.linspace(0.0, 1.0, resolution + 1)
+    ticks = np.linspace(0.0, 1.0, _check_resolution(resolution, 1) + 1)
     return mu.cdf_float(*np.meshgrid(ticks, ticks, indexing="ij"))
 
 
@@ -957,11 +965,7 @@ def discrepancy_permuton(mu: Permuton, resolution: int) -> PermutonDiscrepancy:
     """max |lambda(A x B) - mu(A x B)| over grid interval pairs (lower bound
     converging to d(mu)), plus 4 max|F - F_lambda| at the grid corners and
     its certified upper bound (see PermutonDiscrepancy)."""
-    if not isinstance(resolution, (int, np.integer)):
-        raise PermutonError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < 2:
-        raise PermutonError("resolution must be >= 2")
-    r = int(resolution)
+    r = _check_resolution(resolution, 2)
     ticks = np.linspace(0.0, 1.0, r + 1)
     D = cdf_grid(mu, r) - np.outer(ticks, ticks)
     sup_dev = float(np.abs(D).max())

@@ -39,8 +39,8 @@ def mc_chunks(samples: int, seed: int,
     """Yield (rng, m) over one PCG64(seed) stream, m <= chunk, the m summing
     to ``samples``.  Seeded results depend on ``chunk`` through the draw
     order, so each estimator keeps its own."""
-    if samples < 1:
-        raise PermError("samples must be >= 1")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise PermError(f"samples must be >= 1 and an integer, got {samples!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     for start in range(0, samples, chunk):
         yield rng, min(chunk, samples - start)

@@ -656,6 +656,29 @@ def test_solve_stays_in_int64_at_the_size_limit():
     assert int(np.abs(counting._SOLVE).sum(axis=1).max()) * worst < 2**57
 
 
+def test_derivation_refuses_a_wrong_inverse(monkeypatch):
+    # one entry of the float inverse off by 1: the rounded adjugate is off
+    # by det there, so adj A = det I fails in int64
+    real = np.linalg.inv
+
+    def wrong(a):
+        out = real(a)
+        out[0, 0] += 1.0
+        return out
+
+    monkeypatch.setattr(counting.np.linalg, "inv", wrong)
+    with pytest.raises(RuntimeError, match="adjugate is not exact"):
+        counting._derive_solve()
+
+
+def test_derivation_refuses_sums_with_a_one_point_part(monkeypatch):
+    # n added to every candidate is a 1-point part: each sum is 1 on S_1
+    real = counting._candidate_sums
+    monkeypatch.setattr(counting, "_candidate_sums", lambda v, c: real(v, c) + len(v))
+    with pytest.raises(RuntimeError, match="free of 1- and 2-point parts"):
+        counting._derive_solve()
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
 def test_sweep_matches_the_defining_sums(rows, monkeypatch):
     # the ascending trees over quadrant pairs and sum Q R, block by block

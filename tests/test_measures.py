@@ -173,6 +173,19 @@ def test_marginal_check_refuses_resolution_past_the_limit_before_any_strip_mass(
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("resolution", [10.0, 2.5, "10", F(10)])
+def test_marginal_check_refuses_non_integer_resolutions(resolution):
+    # 10.0 raised a TypeError from Fraction
+    with pytest.raises(PermutonError, match=re.escape(f"must be an integer, got {resolution!r}")):
+        marginal_check(m_set(F(0)), resolution, 0.0)
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+def test_marginal_check_refuses_resolutions_below_two(resolution):
+    with pytest.raises(PermutonError, match="resolution must be >= 2"):
+        marginal_check(m_set(F(0)), resolution, 0.0)
+
+
 # strip masses against the per-cut oracle: the prefix mass at every cut,
 # summed piece by piece (the loop strip_masses ran before its sweep)
 
@@ -729,6 +742,26 @@ def test_permuton_discrepancy_takes_numpy_integer_resolutions():
     want = discrepancy_permuton(mu, 12)
     for r in (np.int64(12), np.int32(12), np.uint8(12)):
         assert discrepancy_permuton(mu, r) == want
+
+
+@pytest.mark.parametrize("resolution", [10.0, 2.5, "10", F(10)])
+def test_cdf_grid_refuses_non_integer_resolutions(resolution):
+    with pytest.raises(PermutonError, match=re.escape(f"must be an integer, got {resolution!r}")):
+        cdf_grid(uniform(), resolution)
+
+
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_cdf_grid_refuses_resolutions_below_one(resolution):
+    # -1 returned a (0, 0) array
+    with pytest.raises(PermutonError, match="resolution must be >= 1"):
+        cdf_grid(uniform(), resolution)
+
+
+def test_cdf_grid_takes_resolution_one_and_numpy_integers():
+    assert cdf_grid(uniform(), 1).tolist() == [[0.0, 0.0], [0.0, 1.0]]
+    mu = m_set(F(1, 2))
+    for r in (np.int64(12), np.uint8(12)):
+        assert np.array_equal(cdf_grid(mu, r), cdf_grid(mu, 12))
 
 
 @pytest.mark.parametrize("mu, lower", [
